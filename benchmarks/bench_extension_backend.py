@@ -13,9 +13,10 @@ checks every result field pairwise, and writes the numbers to
 Gates (CI fails on any):
 
 - wall-clock speedup of the vectorized pass over the reference pass must
-  be at least ``MIN_SPEEDUP`` (3x; the acceptance target is 5x with the
-  native kernel, but CI runners are noisy and may lack a C compiler, so
-  the gate allows the pure-Python fallback some slack);
+  be at least ``MIN_NATIVE_SPEEDUP`` (15x) when the native kernel runs --
+  it draws the traffic and simulates in C, so only the driver is left in
+  Python -- and at least ``MIN_SPEEDUP`` (3x) on the pure-Python
+  fallback, which CI runners without a C compiler take;
 - the faulted grid through ``backend="auto"`` must clear the same 3x bar
   -- fault parity that is not fast would leave the resilience sweeps on
   the slow engine;
@@ -36,6 +37,7 @@ from benchmarks.common import once, report
 from benchmarks.bench_fig09_network_latency import paired_specs
 
 MIN_SPEEDUP = 3.0
+MIN_NATIVE_SPEEDUP = 15.0
 MAX_DELTA = 1e-9
 OUTPUT = "BENCH_backend.json"
 
@@ -108,6 +110,7 @@ def measure():
     faulted_auto_s, faulted_auto = _timed_pass(faulted, "auto")
     from repro.noc.backends import native
 
+    native_kernel = native.available()
     payload = {
         "spec_count": len(specs),
         "reference_s": ref_s,
@@ -120,8 +123,9 @@ def measure():
         "faulted_speedup": faulted_ref_s / faulted_auto_s,
         "faulted_max_field_delta": _max_divergence(faulted_ref, faulted_auto),
         "faulted_reconfigurations": sum(r.reconfigurations for r in faulted_auto),
-        "native_kernel": native.available(),
-        "min_speedup_gate": MIN_SPEEDUP,
+        "native_kernel": native_kernel,
+        "min_speedup_gate": MIN_NATIVE_SPEEDUP if native_kernel else MIN_SPEEDUP,
+        "min_faulted_speedup_gate": MIN_SPEEDUP,
         "max_delta_gate": MAX_DELTA,
     }
     with open(OUTPUT, "w", encoding="utf-8") as handle:
@@ -155,10 +159,10 @@ def test_extension_backend_speedup_and_equivalence(benchmark):
 
     # the contract docs/execution.md quotes: a fast path that is not fast
     # is dead weight, and one that drifts from the reference is a bug
-    assert payload["speedup"] >= MIN_SPEEDUP
+    assert payload["speedup"] >= payload["min_speedup_gate"]
     assert payload["max_field_delta"] <= MAX_DELTA
     # the capability-parity contract: the faulted grid rides the fast
     # path end to end, at the same exactness and a comparable speedup
-    assert payload["faulted_speedup"] >= MIN_SPEEDUP
+    assert payload["faulted_speedup"] >= payload["min_faulted_speedup_gate"]
     assert payload["faulted_max_field_delta"] <= MAX_DELTA
     assert payload["faulted_reconfigurations"] >= 2 * payload["faulted_spec_count"]

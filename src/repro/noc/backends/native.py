@@ -20,13 +20,16 @@ just slower.
 
 Division of labour with the Python driver:
 
-- the traffic process stays in Python (it must replay the reference
-  backend's exact ``random.Random`` stream) and is flattened into
-  per-packet arrays over a *horizon* of pre-drawn cycles;
+- the traffic process is drawn in C too: ``draw_traffic`` replays
+  ``TrafficGenerator.packets_for_cycle`` on a bit-exact port of
+  CPython's MT19937 (``random()`` and ``randrange()``), seeded from the
+  stream's ``random.getstate()``, and writes per-packet columns (row
+  index == pid) over a *horizon* of pre-drawn cycles; the MT state lives
+  in a per-run buffer, so a longer horizon continues the stream;
 - the C kernel simulates until it finishes or runs off the end of the
   horizon, in which case it reports ``UNFINISHED`` and the driver
-  re-runs it from scratch over a longer horizon (the kernel is
-  deterministic and fast enough that a rare re-run is cheaper than
+  extends the horizon and re-runs the kernel from scratch (the kernel
+  is deterministic and fast enough that a rare re-run is cheaper than
   checkpointing state across the boundary);
 - the kernel returns the measured packets' ejection order, and Python
   replays the latency/hop statistics in that order so the Welford mean
@@ -39,20 +42,22 @@ Division of labour with the Python driver:
   cumulative per-router injection counts are reconstructed from the
   pre-drawn packet columns, so the kernel never touches them;
 - fault schedules run as a *chain* of kernel segments, one per region
-  configuration: the kernel stops at the next fault boundary (reporting
-  per-packet progress), the driver replays the reference's teardown /
-  drop-and-retransmit policy in Python -- survivors become seed rows of
+  configuration, over one drawn packet stream: the kernel stops at the
+  next fault boundary (reporting per-packet progress), the driver
+  replays the reference's teardown / drop-and-retransmit policy in
+  Python -- survivors, carried as global row ids, become seed rows of
   the next segment's packet columns, re-entering through the normal NI
   path in pid order -- and the fault counters, activity folds and
   telemetry accumulate across segments.  Gated runs are the one thing
   this module never sees: the policy is an arbitrary Python object the
   kernel cannot call back into every cycle, so they stay on the
-  pure-Python flat engine.
+  pure-Python flat engine, with Python traffic.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -75,6 +80,9 @@ _MAX_VCS = 12
 _FLAG_UNFINISHED = 1  # simulation ran past the pre-drawn traffic horizon
 _FLAG_IDLE_BREAK = 2  # whole-mesh idle exit before the window closed
 _FLAG_BOUNDARY = 4  # stopped at a fault boundary (stop_cycle) for the driver
+
+_REV = np.array([REVERSE_PORT.get(p, 0) for p in range(PORT_COUNT)], dtype=np.int64)
+_REV.flags.writeable = False
 
 _KERNEL_SOURCE = r"""
 #include <stdint.h>
@@ -600,6 +608,100 @@ i64 run_kernel(
     return 0;
 }
 #undef CAPTURE
+
+/* The Bernoulli traffic source: TrafficGenerator.packets_for_cycle over
+ * a range of cycles, drawing from a bit-exact port of CPython's MT19937
+ * (`mt` holds random.getstate()'s 624 words followed by the position).
+ * Same draw order per cycle and endpoint: one random() against the
+ * packet probability, then the destination -- a table lookup for the
+ * permutation patterns, randrange(k - 1) for uniform, and for hotspot a
+ * random() against the fraction falling through to randrange.  Rows
+ * are the packets with a destination, so row index == pid.  Stops at a
+ * cycle boundary once fewer than k rows of capacity remain. */
+#define MT_N 624
+#define MT_M 397
+
+static uint32_t genrand_uint32(uint32_t *mt)
+{
+    uint32_t y;
+    if (mt[MT_N] >= MT_N) {
+        static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt[MT_N] = 0;
+    }
+    y = mt[mt[MT_N]++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random.random(): 53 bits from two draws */
+static double mt_random(uint32_t *mt)
+{
+    uint32_t a = genrand_uint32(mt) >> 5, b = genrand_uint32(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* random.randrange(n), n >= 1: getrandbits(n.bit_length()), rejected
+ * until below n */
+static i64 mt_randbelow(uint32_t *mt, i64 n)
+{
+    int shift = __builtin_clzll((unsigned long long)n) - 32;
+    i64 r = genrand_uint32(mt) >> shift;
+    while (r >= n) r = genrand_uint32(mt) >> shift;
+    return r;
+}
+
+i64 draw_traffic(
+    uint32_t *mt,          /* 625: MT words + position, advanced in place */
+    i64 k,                 /* endpoint count                             */
+    const i64 *ep_src,     /* k: value written to the src column         */
+    const i64 *ep_node,    /* k: node id written to the dest column      */
+    const i64 *perm,       /* k: permutation target, -1 = no packet      */
+    i64 mode,              /* 0 uniform, 1 permutation, 2 hotspot        */
+    double prob, double hot_frac, i64 hot,
+    i64 length, i64 warmup, i64 measure_end,
+    i64 c0, i64 c1,        /* draw cycles [c0, c1)                       */
+    i64 cap,               /* row capacity of the columns                */
+    i64 *cycle, i64 *src, i64 *dest, i64 *len, i64 *meas,
+    i64 *reached)          /* out: first cycle not drawn                 */
+{
+    i64 n = 0, c = c0;
+    for (; c < c1 && cap - n >= k; c++) {
+        i64 measured = warmup <= c && c < measure_end;
+        for (i64 i = 0; i < k; i++) {
+            if (mt_random(mt) >= prob) continue;
+            i64 j;
+            if (mode == 1) {
+                j = perm[i];
+                if (j < 0) continue;
+            } else if (mode == 2 && mt_random(mt) < hot_frac && hot != i) {
+                j = hot;
+            } else {
+                if (k < 2) continue;
+                j = mt_randbelow(mt, k - 1);
+                if (j >= i) j++;
+            }
+            cycle[n] = c; src[n] = ep_src[i]; dest[n] = ep_node[j];
+            len[n] = length; meas[n] = measured;
+            n++;
+        }
+    }
+    *reached = c;
+    return n;
+}
 """
 
 _lock = threading.Lock()
@@ -652,6 +754,16 @@ def _build() -> ctypes.CDLL:
         c64, c64,                    # interval, s_cap
         ptr, ptr, ptr, ptr, ptr,     # s_cycle, s_inflight, s_occ, s_ej, ej_out
     ]
+    lib.draw_traffic.restype = c64
+    lib.draw_traffic.argtypes = [
+        ctypes.POINTER(ctypes.c_uint32),  # mt
+        c64, ptr, ptr, ptr, c64,     # k, ep_src, ep_node, perm, mode
+        ctypes.c_double, ctypes.c_double, c64,  # prob, hot_frac, hot
+        c64, c64, c64,               # length, warmup, measure_end
+        c64, c64, c64,               # c0, c1, cap
+        ptr, ptr, ptr, ptr, ptr,     # cycle, src, dest, len, meas
+        ptr,                         # reached
+    ]
     return lib
 
 
@@ -684,20 +796,93 @@ def _as_ptr(array: np.ndarray):
     return array.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
 
 
+class _TrafficSource:
+    """One run's packet columns, drawn by the kernel's traffic source.
+
+    The MT19937 state starts as the ``random.getstate()`` of the stream
+    ``spec.traffic.build()`` creates and lives in this object, so
+    :meth:`extend_to` continues the stream -- growing the horizon never
+    redraws a cycle.  Row ``r`` of the columns is the packet with pid
+    ``r``; ``src`` holds ``src_of[endpoint index]``, ``dest`` the
+    destination node id.
+    """
+
+    def __init__(self, lib, traffic, src_of, warmup: int, measure_end: int):
+        self._lib = lib
+        endpoints = traffic.endpoints
+        k = len(endpoints)
+        self._version, words, self._gauss = traffic.rng_state()
+        self._mt = np.array(words, dtype=np.uint32)
+        self._ep_src = np.asarray(src_of, dtype=np.int64)
+        self._ep_node = np.array(endpoints, dtype=np.int64)
+        mode = {"uniform": 0, "hotspot": 2}.get(traffic.pattern, 1)
+        perm = [-1] * k
+        if mode == 1:
+            targets = map(traffic.permutation_target, range(k))
+            perm = [-1 if j is None else j for j in targets]
+        self._perm = np.array(perm, dtype=np.int64)
+        # the same double packets_for_cycle compares against
+        probability = traffic.injection_rate / traffic.packet_length
+        self._args = (
+            mode, probability, traffic.hotspot_fraction,
+            endpoints.index(traffic.hotspot_endpoint), traffic.packet_length,
+            warmup, measure_end,
+        )
+        self._per_cycle = k * min(1.0, probability)  # expected rows
+        self._cols = np.zeros((5, 0), dtype=np.int64)
+        self._reached = np.zeros(1, dtype=np.int64)
+        self.rows = 0     # packets drawn so far
+        self.horizon = 0  # cycles drawn so far
+
+    def extend_to(self, limit: int) -> None:
+        """Draw every cycle in ``[horizon, limit)``."""
+        k = len(self._ep_node)
+        while self.horizon < limit:
+            if self._cols.shape[1] - self.rows < k:
+                # room for the expected rows plus slack, or double
+                expected = int((limit - self.horizon) * self._per_cycle * 1.25)
+                size = max(self.rows + expected + 2 * k + 64, 2 * self._cols.shape[1])
+                grown = np.zeros((5, size), dtype=np.int64)
+                grown[:, :self.rows] = self._cols[:, :self.rows]
+                self._cols = grown
+            cols = self._cols
+            self.rows += self._lib.draw_traffic(
+                self._mt.ctypes.data_as(ctypes.POINTER(ctypes.c_uint32)),
+                k, _as_ptr(self._ep_src), _as_ptr(self._ep_node),
+                _as_ptr(self._perm), *self._args,
+                self.horizon, limit, cols.shape[1] - self.rows,
+                *(_as_ptr(cols[r, self.rows:]) for r in range(5)),
+                _as_ptr(self._reached),
+            )
+            self.horizon = int(self._reached[0])
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """``(cycle, src, dest, len, measured)`` views over the drawn rows."""
+        return tuple(self._cols[r, :self.rows] for r in range(5))
+
+    def mt_state(self) -> tuple:
+        """The stream position as ``random.getstate()`` would report it."""
+        return (self._version, tuple(self._mt.tolist()), self._gauss)
+
+
+@functools.lru_cache(maxsize=64)
 def _region_arrays(topology, routing):
     """Flattened routing/neighbor tables for one region, kernel-ready.
 
-    Returns ``(nodes, index_of, route, neighbor)`` where ``route`` maps
-    ``router_index * mesh_size + dest_node`` to an output port (adaptive
-    candidate pairs packed as ``8 | (c0 << 4) | (c1 << 8)``) and
-    ``neighbor`` maps ``router_index * 5 + port`` to the neighboring
-    router index (-1 when unconnected)."""
+    Returns ``(nodes, slot_of, route, neighbor)`` where ``slot_of`` maps
+    a node id to its router index (-1 when outside the region),
+    ``route`` maps ``router_index * mesh_size + dest_node`` to an output
+    port (adaptive candidate pairs packed as ``8 | (c0 << 4) | (c1 <<
+    8)``) and ``neighbor`` maps ``router_index * 5 + port`` to the
+    neighboring router index (-1 when unconnected).  Memoized per
+    (topology, routing); the arrays are read-only."""
     from repro.noc.routing import build_table
 
-    nodes = list(topology.active_nodes)
+    nodes = tuple(topology.active_nodes)
     count = len(nodes)
-    index_of = {node: i for i, node in enumerate(nodes)}
     mesh_size = topology.width * topology.height
+    slot_of = np.full(mesh_size, -1, dtype=np.int64)
+    slot_of[list(nodes)] = np.arange(count)
 
     route = np.zeros(count * mesh_size, dtype=np.int64)
     for (current, dest), port in build_table(topology, routing).items():
@@ -705,14 +890,16 @@ def _region_arrays(topology, routing):
             # adaptive tables hold candidate tuples; singletons collapse
             # to a plain port, pairs pack into one word for the kernel
             port = port[0] if len(port) == 1 else 8 | (port[0] << 4) | (port[1] << 8)
-        route[index_of[current] * mesh_size + dest] = port
+        route[slot_of[current] * mesh_size + dest] = port
     neighbor = np.full(count * PORT_COUNT, -1, dtype=np.int64)
     for i, node in enumerate(nodes):
         for port in range(1, PORT_COUNT):
             other = topology.neighbor(node, PORT_TO_DIRECTION[port])
-            if other is not None and other in index_of:
-                neighbor[i * PORT_COUNT + port] = index_of[other]
-    return nodes, index_of, route, neighbor
+            if other is not None and slot_of[other] >= 0:
+                neighbor[i * PORT_COUNT + port] = slot_of[other]
+    for array in (slot_of, route, neighbor):
+        array.flags.writeable = False
+    return nodes, slot_of, route, neighbor
 
 
 def _emit_run_telemetry(
@@ -832,16 +1019,11 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     if spec.faults:
         return _execute_faulted(spec, lib, tel, interval)
 
-    from repro.noc.backends.vectorized import _PacketSchedule
-
     topology = spec.topology
     depth = cfg.buffers_per_vc
     count = len(topology.active_nodes)
     mesh_size = topology.width * topology.height
-    nodes, index_of, route, neighbor = _region_arrays(topology, spec.routing)
-    rev = np.array(
-        [REVERSE_PORT.get(p, 0) for p in range(PORT_COUNT)], dtype=np.int64
-    )
+    nodes, slot_of, route, neighbor = _region_arrays(topology, spec.routing)
 
     warmup = spec.warmup_cycles
     measure_cycles = spec.measure_cycles
@@ -849,40 +1031,19 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     deadline = measure_end + spec.drain_cycles
 
     traffic = spec.traffic.build()
-    schedule = _PacketSchedule(traffic, warmup, measure_end)
-
-    # flatten the pre-drawn traffic into per-packet columns; grown (never
-    # redrawn -- the RNG stream must stay continuous) when the kernel
-    # outruns the horizon
-    p_cycle: list[int] = []
-    p_src: list[int] = []
-    p_dest: list[int] = []
-    p_len: list[int] = []
-    p_meas: list[int] = []
-    horizon = 0
-
-    def extend_to(limit: int) -> None:
-        nonlocal horizon
-        for c in range(horizon, limit):
-            for packet in schedule.take(c):
-                p_cycle.append(c)
-                p_src.append(index_of[packet.source])
-                p_dest.append(packet.destination)
-                p_len.append(packet.length)
-                p_meas.append(1 if packet.measured else 0)
-        horizon = limit
+    source = _TrafficSource(
+        lib, traffic, slot_of[traffic.endpoints], warmup, measure_end
+    )
 
     # most runs drain within a few hundred cycles of the window closing;
     # only saturated runs walk the horizon out toward the full deadline
-    extend_to(min(deadline, measure_end + 1 + min(spec.drain_cycles, 2048)))
+    # (grown, never redrawn, when the kernel outruns it)
+    source.extend_to(min(deadline, measure_end + 1 + min(spec.drain_cycles, 2048)))
 
     s_cap = deadline // interval + 2 if interval else 1
     while True:
-        n_pkts = len(p_cycle)
-        cols = [
-            np.array(col, dtype=np.int64) if col else np.zeros(1, dtype=np.int64)
-            for col in (p_cycle, p_src, p_dest, p_len, p_meas)
-        ]
+        n_pkts = source.rows
+        cols = source.columns() if n_pkts else (np.zeros(1, dtype=np.int64),) * 5
         p_hops = np.zeros(max(n_pkts, 1), dtype=np.int64)
         p_eject = np.full(max(n_pkts, 1), -1, dtype=np.int64)
         p_started = np.zeros(max(n_pkts, 1), dtype=np.int64)
@@ -896,10 +1057,10 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
         ej_out = np.zeros(max(count, 1), dtype=np.int64)
         status = lib.run_kernel(
             count, vcs, depth, mesh_size,
-            _as_ptr(neighbor), _as_ptr(route), _as_ptr(rev),
+            _as_ptr(neighbor), _as_ptr(route), _as_ptr(_REV),
             n_pkts,
             *(_as_ptr(col) for col in cols),
-            horizon, warmup, measure_end, deadline,
+            source.horizon, warmup, measure_end, deadline,
             0, -1,  # start at cycle 0, no fault boundary to stop at
             _as_ptr(p_hops), _as_ptr(p_eject), _as_ptr(p_started),
             _as_ptr(ej_order), _as_ptr(counters), _as_ptr(out),
@@ -911,46 +1072,43 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
             return None
         if not out[1] & _FLAG_UNFINISHED:
             break
-        extend_to(min(deadline, max(horizon * 4, horizon + 1)))
+        source.extend_to(min(deadline, max(source.horizon * 4, source.horizon + 1)))
 
     cycles_run = int(out[0])
-    n_ej = int(out[2])
     created_measured = int(out[3])
     measured_ejected = int(out[4])
     measured_flits = int(out[5])
-    p_cycle_arr = cols[0]
 
     latency = RunningStats()
     hops_stats = RunningStats()
-    latencies: list[int] = []
-    for k in range(n_ej):
-        pk = int(ej_order[k])
-        lat = int(p_eject[pk]) - int(p_cycle_arr[pk])
-        latency.add(lat)
-        latencies.append(lat)
-        hops_stats.add(int(p_hops[pk]))
+    order = ej_order[:int(out[2])]
+    latencies = (p_eject[order] - cols[0][order]).tolist()
+    latency.extend(latencies)
+    hops_stats.extend(p_hops[order].tolist())
 
     saturated = measured_ejected < created_measured
     endpoints = len(traffic.endpoints)
 
     if tel is not None:
+        c_cycle, c_src, _, c_len, _ = source.columns()
         _emit_run_telemetry(
             tel, spec, traffic, nodes,
-            (p_cycle, p_src, p_len),
+            (c_cycle.tolist(), c_src.tolist(), c_len.tolist()),
             cycles_run, int(out[1]), saturated,
             created_measured, measured_ejected, measured_flits,
             int(out[6]), s_cycle, s_inflight, s_occ, s_ej, ej_out,
         )
 
     activity = NetworkActivity()
+    counts = counters.tolist()
     for i, node in enumerate(nodes):
         router_activity = activity.router(node)
-        router_activity.buffer_writes = int(counters[i * 4])
-        router_activity.buffer_reads = int(counters[i * 4 + 1])
-        router_activity.crossbar_traversals = int(counters[i * 4 + 1])
-        router_activity.switch_arbitrations = int(counters[i * 4 + 1])
-        router_activity.link_traversals = int(counters[i * 4 + 2])
-        router_activity.vc_allocations = int(counters[i * 4 + 3])
+        router_activity.buffer_writes = counts[i * 4]
+        router_activity.buffer_reads = counts[i * 4 + 1]
+        router_activity.crossbar_traversals = counts[i * 4 + 1]
+        router_activity.switch_arbitrations = counts[i * 4 + 1]
+        router_activity.link_traversals = counts[i * 4 + 2]
+        router_activity.vc_allocations = counts[i * 4 + 3]
         router_activity.cycles_powered = measure_cycles
 
     return SimulationResult(
@@ -991,7 +1149,6 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
     drop-and-retransmit policy before launching the next segment.
     """
     from repro.core.faults import reconfigured_topology
-    from repro.noc.backends.vectorized import _PacketSchedule
 
     cfg = spec.config
     vcs = cfg.vcs_per_port
@@ -1006,11 +1163,9 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
     deadline = measure_end + spec.drain_cycles
 
     traffic = spec.traffic.build()
-    schedule = _PacketSchedule(traffic, warmup, measure_end)
+    # global columns carry node ids; each segment maps them to its region
+    source = _TrafficSource(lib, traffic, traffic.endpoints, warmup, measure_end)
     boundaries = faults.boundaries()
-    rev = np.array(
-        [REVERSE_PORT.get(p, 0) for p in range(PORT_COUNT)], dtype=np.int64
-    )
     s_cap = deadline // interval + 2 if interval else 1
 
     counters = {
@@ -1029,7 +1184,7 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
     region, routing = planned, spec.routing
     degraded = False
     seg_start, next_b = 0, 0
-    seeds: list[tuple] = []  # (Packet, started) in pid order
+    seeds = np.zeros(0, dtype=np.int64)  # surviving global rows, pid order
     cycles_run = 0
     idle_break = False
     # first *visited* cycle at/past each phase threshold, reference-true:
@@ -1043,7 +1198,7 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
 
     while True:
         stop = boundaries[next_b] if next_b < len(boundaries) else -1
-        nodes, index_of, route, neighbor = _region_arrays(region, routing)
+        nodes, slot_of, route, neighbor = _region_arrays(region, routing)
         count = len(nodes)
         for node in nodes:
             activity.router(node)
@@ -1059,34 +1214,27 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
                 max(measure_end + 1, seg_start + 1)
                 + min(spec.drain_cycles, 2048),
             )
+        n_seed = len(seeds)
         while True:
-            seg_pkts = [pkt for pkt, _ in seeds]
-            p_cycle = [seg_start] * len(seeds)
-            p_src = [index_of[pkt.source] for pkt, _ in seeds]
-            p_dest = [pkt.destination for pkt, _ in seeds]
-            p_len = [pkt.length for pkt, _ in seeds]
-            p_meas = [1 if pkt.measured else 0 for pkt, _ in seeds]
-            n_seed = len(seeds)
+            source.extend_to(limit)
+            g_cycle, g_src, g_dest, g_len, g_meas = source.columns()
+            lo, hi = np.searchsorted(g_cycle, (seg_start, limit))
+            rows = np.arange(lo, hi)
             drop_cycles: list[int] = []  # creation-time drops, per cycle
-            for c in range(seg_start, limit):
-                for packet in schedule.take(c):
-                    if degraded and (
-                        packet.source not in index_of
-                        or packet.destination not in index_of
-                    ):
-                        drop_cycles.append(c)
-                        continue
-                    seg_pkts.append(packet)
-                    p_cycle.append(c)
-                    p_src.append(index_of[packet.source])
-                    p_dest.append(packet.destination)
-                    p_len.append(packet.length)
-                    p_meas.append(1 if packet.measured else 0)
-            n_pkts = len(seg_pkts)
-            cols = [
-                np.array(col, dtype=np.int64) if col else np.zeros(1, dtype=np.int64)
-                for col in (p_cycle, p_src, p_dest, p_len, p_meas)
-            ]
+            if degraded:
+                inside = (slot_of[g_src[lo:hi]] >= 0) & (slot_of[g_dest[lo:hi]] >= 0)
+                drop_cycles = g_cycle[lo:hi][~inside].tolist()
+                rows = rows[inside]
+            # segment row -> global row; ascending, since the seeds were
+            # created before this segment's rows
+            g_rows = np.concatenate((seeds, rows))
+            n_pkts = len(g_rows)
+            seg_cycle = g_cycle[g_rows]
+            seg_cycle[:n_seed] = seg_start
+            cols = [seg_cycle, slot_of[g_src[g_rows]], g_dest[g_rows],
+                    g_len[g_rows], g_meas[g_rows]]
+            if not n_pkts:
+                cols = [np.zeros(1, dtype=np.int64)] * 5
             p_hops = np.zeros(max(n_pkts, 1), dtype=np.int64)
             p_eject = np.full(max(n_pkts, 1), -1, dtype=np.int64)
             p_started = np.zeros(max(n_pkts, 1), dtype=np.int64)
@@ -1100,7 +1248,7 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
             ej_out = np.zeros(max(count, 1), dtype=np.int64)
             status = lib.run_kernel(
                 count, vcs, depth, mesh_size,
-                _as_ptr(neighbor), _as_ptr(route), _as_ptr(rev),
+                _as_ptr(neighbor), _as_ptr(route), _as_ptr(_REV),
                 n_pkts,
                 *(_as_ptr(col) for col in cols),
                 limit, warmup, measure_end, deadline,
@@ -1120,14 +1268,15 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
             break
 
         # fold this segment's activity and (analytic) powered cycles
+        counts = kcounters.tolist()
         for i, node in enumerate(nodes):
             ra = activity.router(node)
-            ra.buffer_writes += int(kcounters[i * 4])
-            ra.buffer_reads += int(kcounters[i * 4 + 1])
-            ra.crossbar_traversals += int(kcounters[i * 4 + 1])
-            ra.switch_arbitrations += int(kcounters[i * 4 + 1])
-            ra.link_traversals += int(kcounters[i * 4 + 2])
-            ra.vc_allocations += int(kcounters[i * 4 + 3])
+            ra.buffer_writes += counts[i * 4]
+            ra.buffer_reads += counts[i * 4 + 1]
+            ra.crossbar_traversals += counts[i * 4 + 1]
+            ra.switch_arbitrations += counts[i * 4 + 1]
+            ra.link_traversals += counts[i * 4 + 2]
+            ra.vc_allocations += counts[i * 4 + 3]
         stopped = bool(flags & _FLAG_BOUNDARY)
         span = (min(stop, measure_end) if stopped else measure_end) - max(
             seg_start, warmup
@@ -1139,17 +1288,14 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
         # global tallies: the kernel re-counts re-injected seeds in its
         # created_measured (they enter through the normal NI path), the
         # driver nets them back out
-        created_measured += int(out[3]) - sum(
-            1 for pkt, _ in seeds if pkt.measured
-        )
+        created_measured += int(out[3]) - int(g_meas[seeds].sum())
         measured_ejected += int(out[4])
         measured_flits += int(out[5])
-        for k in range(int(out[2])):
-            pk = int(ej_order[k])
-            lat = int(p_eject[pk]) - seg_pkts[pk].created_at
-            latency.add(lat)
-            latencies.append(lat)
-            hops_stats.add(int(p_hops[pk]))
+        order = ej_order[:int(out[2])]
+        seg_latencies = (p_eject[order] - g_cycle[g_rows[order]]).tolist()
+        latency.extend(seg_latencies)
+        latencies.extend(seg_latencies)
+        hops_stats.extend(p_hops[order].tolist())
         # creation-time drops count only for cycles the loop visited
         cap = stop if stopped else int(out[0])
         counters["dropped"] += sum(1 for c in drop_cycles if c < cap)
@@ -1165,10 +1311,10 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
 
         if tel is not None:
             segments.append(dict(
-                nodes=nodes, n_seed=n_seed, p_cycle=p_cycle, p_src=p_src,
-                p_len=p_len, n_s=int(out[6]), s_cycle=s_cycle,
-                s_inflight=s_inflight, s_occ=s_occ, s_ej=s_ej,
-                ej_out=ej_out, cap=cap,
+                nodes=nodes, n_seed=n_seed, p_cycle=seg_cycle.tolist(),
+                p_src=cols[1][:n_pkts].tolist(), p_len=cols[3][:n_pkts].tolist(),
+                n_s=int(out[6]), s_cycle=s_cycle, s_inflight=s_inflight,
+                s_occ=s_occ, s_ej=s_ej, ej_out=ej_out, cap=cap,
             ))
 
         if not stopped:
@@ -1176,32 +1322,26 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
             idle_break = bool(flags & _FLAG_IDLE_BREAK)
             break
 
-        # boundary: reconfigure and replay drop-and-retransmit (survivor
-        # order is pid order, exactly like Network.extract_in_flight)
+        # boundary: reconfigure and replay drop-and-retransmit over the
+        # unejected rows, in pid order like Network.extract_in_flight;
+        # reconfigured regions always route CDOR (sound on any convex
+        # region, equals XY on the restored full mesh)
         region = reconfigured_topology(planned, faults, stop)
         degraded = region is not planned
-        keep = region.active_nodes
-        survivors = [
-            (seg_pkts[k], bool(p_started[k]))
-            for k in range(n_pkts)
-            if p_eject[k] < 0
-        ]
-        survivors.sort(key=lambda entry: entry[0].pid)
-        seeds = []
-        for pkt, started in survivors:
-            if pkt.source in keep and pkt.destination in keep:
-                seeds.append((pkt, started))
-                counters["retransmitted" if started else "rerouted"] += 1
-            else:
-                counters["dropped"] += 1
-                if pkt.measured:
-                    counters["lost_measured"] += 1
+        routing = "cdor"
+        keep = _region_arrays(region, routing)[1]
+        alive = np.flatnonzero(p_eject[:n_pkts] < 0)
+        survivors = g_rows[alive]
+        started = p_started[alive] != 0
+        kept = (keep[g_src[survivors]] >= 0) & (keep[g_dest[survivors]] >= 0)
+        seeds = survivors[kept]
+        counters["retransmitted"] += int(np.count_nonzero(started[kept]))
+        counters["rerouted"] += int(np.count_nonzero(~started[kept]))
+        counters["dropped"] += int(np.count_nonzero(~kept))
+        counters["lost_measured"] += int(g_meas[survivors[~kept]].sum())
         counters["reconfigurations"] += 1
         min_level = min(min_level, region.level)
         reconf_events.append((stop, region.level))
-        # reconfigured regions always route CDOR (sound on any convex
-        # region, equals XY on the restored full mesh)
-        routing = "cdor"
         seg_start = stop
         next_b += 1
 

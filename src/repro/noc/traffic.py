@@ -90,6 +90,39 @@ class TrafficGenerator:
         if self.pattern != "uniform" and k < 2:
             raise ValueError(f"{self.pattern} traffic needs at least 2 endpoints")
 
+    def rng_state(self) -> tuple:
+        """The traffic stream's ``random.getstate()`` as of now.
+
+        Lets another implementation of the same Bernoulli process (the
+        compiled kernel's traffic source) continue this exact stream.
+        """
+        return self._rng.getstate()
+
+    def permutation_target(self, i: int) -> int | None:
+        """Endpoint index a permutation pattern sends endpoint ``i`` to.
+
+        None when the endpoint is its own image (no packet); only defined
+        for the five deterministic patterns -- ``uniform`` and ``hotspot``
+        draw their destinations from the stream.
+        """
+        k = len(self.endpoints)
+        if self.pattern == "neighbor":
+            j = (i + 1) % k
+        elif self.pattern == "bit_complement":
+            j = k - 1 - i
+        elif self.pattern == "tornado":
+            j = (i + (k + 1) // 2 - 1) % k
+        elif self.pattern == "transpose":
+            side = math.isqrt(k)
+            row, col = divmod(i, side)
+            j = col * side + row
+        elif self.pattern == "shuffle":
+            bits = k.bit_length() - 1
+            j = ((i << 1) | (i >> (bits - 1))) & (k - 1)
+        else:
+            raise ValueError(f"{self.pattern} is not a permutation pattern")
+        return None if j == i else j
+
     def _destination(self, source: int) -> int | None:
         """Destination endpoint for a packet from ``source`` (None = skip)."""
         k = len(self.endpoints)
@@ -101,23 +134,6 @@ class TrafficGenerator:
             if j >= i:
                 j += 1
             return self.endpoints[j]
-        if self.pattern == "neighbor":
-            return self.endpoints[(i + 1) % k]
-        if self.pattern == "bit_complement":
-            j = k - 1 - i
-            return None if j == i else self.endpoints[j]
-        if self.pattern == "tornado":
-            j = (i + (k + 1) // 2 - 1) % k
-            return None if j == i else self.endpoints[j]
-        if self.pattern == "transpose":
-            side = math.isqrt(k)
-            row, col = divmod(i, side)
-            j = col * side + row
-            return None if j == i else self.endpoints[j]
-        if self.pattern == "shuffle":
-            bits = k.bit_length() - 1
-            j = ((i << 1) | (i >> (bits - 1))) & (k - 1)
-            return None if j == i else self.endpoints[j]
         if self.pattern == "hotspot":
             if self._rng.random() < self.hotspot_fraction:
                 j = self._index[self.hotspot_endpoint]
@@ -129,7 +145,8 @@ class TrafficGenerator:
             if j >= i:
                 j += 1
             return self.endpoints[j]
-        raise AssertionError("unreachable")
+        j = self.permutation_target(i)
+        return None if j is None else self.endpoints[j]
 
     def packets_for_cycle(self, cycle: int, measured: bool) -> list[Packet]:
         """Packets created at this cycle (possibly empty)."""

@@ -199,18 +199,24 @@ class ExperimentService:
             if key in to_run:
                 coalesced += 1  # duplicate within this very batch
                 continue
+            # check-and-register is one atomic step: an identical
+            # submission racing this one joins the entry registered
+            # here instead of overwriting it after its own cache lookup
             with self._lock:
                 if key in self._inflight:
                     coalesced += 1
                     continue
-            value, claim = self.cache.get_or_begin(key)
+                self._errors.pop(key, None)
+                self._inflight[key] = _Inflight()
+            try:
+                value, claim = self.cache.get_or_begin(key)
+            except BaseException as err:
+                self._resolve(key, error=f"{type(err).__name__}: {err}")
+                raise
             if value is not None:
                 cached += 1
+                self._resolve(key)  # wakes anyone who joined meanwhile
                 continue
-            entry = _Inflight()
-            with self._lock:
-                self._errors.pop(key, None)
-                self._inflight[key] = entry
             if claim is not None:
                 to_run[key] = spec
                 claims[key] = claim

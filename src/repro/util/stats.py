@@ -28,8 +28,20 @@ class RunningStats:
             self.maximum = value
 
     def extend(self, values: Iterable[float]) -> None:
+        """``add`` each value in order -- the same arithmetic, inlined."""
+        count, mean, m2 = self.count, self._mean, self._m2
+        lo, hi = self.minimum, self.maximum
         for value in values:
-            self.add(value)
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+        self.count, self._mean, self._m2 = count, mean, m2
+        self.minimum, self.maximum = lo, hi
 
     @property
     def mean(self) -> float:

@@ -18,6 +18,7 @@ Three layers under test:
 import json
 import os
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -246,6 +247,88 @@ class TestGetOrBegin:
         for cache in caches:
             for key in keys:
                 assert not cache.has_claim(key)
+
+
+class TestSubmitCoalescingRace:
+    WAIT_S = 20.0
+
+    def test_duplicate_arriving_mid_lookup_joins_the_first(self, tmp_path,
+                                                           monkeypatch):
+        """An identical submission that lands while the first is between
+        its in-flight check and its cache lookup must join the first's
+        entry, not register a rival one that orphans a waiter.
+
+        The interleaving is forced, not slept into: the first lookup runs
+        the duplicate submission and starts its waiter, and only goes on
+        once that waiter is blocked; the simulation itself is held until
+        both submissions have returned.
+        """
+        from repro.service import core
+
+        service = ExperimentService(
+            cache=ResultCache(directory=str(tmp_path / "cache")), workers=1,
+            ledger=Ledger(directory=str(tmp_path / "ledger")),
+        )
+        spec = make_spec(seed=91)
+        payload, key = spec_to_wire(spec), spec.cache_key()
+        waiter_blocked = threading.Event()
+        release = threading.Event()
+
+        class SpyEvent(threading.Event):
+            def wait(self, timeout=None):
+                waiter_blocked.set()
+                return super().wait(timeout)
+
+        class SpyInflight(core._Inflight):
+            def __init__(self):
+                super().__init__()
+                self.event = SpyEvent()
+
+        monkeypatch.setattr(core, "_Inflight", SpyInflight)
+
+        answers = {}
+
+        def timed_wait(name):
+            start = time.monotonic()
+            result = service.wait(key, timeout_s=self.WAIT_S)
+            answers[name] = (result, time.monotonic() - start)
+
+        tickets = []
+        lookup = service.cache.get_or_begin
+        duplicate = threading.Thread(target=timed_wait, args=("duplicate",))
+
+        def racing_lookup(*args, **kwargs):
+            if not tickets:
+                tickets.append(None)  # any further lookup passes through
+                tickets[0] = service.submit([payload], client="b")
+                duplicate.start()
+                assert waiter_blocked.wait(self.WAIT_S)
+            return lookup(*args, **kwargs)
+
+        monkeypatch.setattr(service.cache, "get_or_begin", racing_lookup)
+        execute = service._execute_batch
+
+        def held_execute(*args):
+            release.wait(self.WAIT_S)
+            execute(*args)
+
+        monkeypatch.setattr(service, "_execute_batch", held_execute)
+        try:
+            first = service.submit([payload], client="a")
+            release.set()
+            timed_wait("first")
+            duplicate.join(self.WAIT_S)
+        finally:
+            release.set()
+            service.close()
+
+        for name, (_, elapsed) in answers.items():
+            assert elapsed < self.WAIT_S / 4, f"{name} waiter slept {elapsed:.1f}s"
+        assert answers["first"][0] is not None
+        assert answers["duplicate"][0] == answers["first"][0]
+        assert (first.new, tickets[0].coalesced) == (1, 1)
+        assert service.counter_value("service_simulations_total") == 1
+        assert service.counter_value("service_coalesced_total") == 1
 
 
 # ----------------------------------------------------------------------

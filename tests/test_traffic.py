@@ -1,6 +1,7 @@
 """Tests for synthetic traffic generation."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -168,3 +169,87 @@ class TestPatterns:
                 assert p.source in endpoints
                 assert p.destination in endpoints
                 assert p.source != p.destination
+
+
+#: endpoint counts each pattern accepts
+_VALID_COUNTS = {
+    "uniform": list(range(1, 17)),
+    "neighbor": list(range(2, 17)),
+    "bit_complement": list(range(2, 17)),
+    "tornado": list(range(2, 17)),
+    "hotspot": list(range(2, 17)),
+    "transpose": [4, 9, 16],
+    "shuffle": [2, 4, 8, 16],
+}
+
+
+@st.composite
+def _traffic_cases(draw):
+    pattern = draw(st.sampled_from(sorted(_VALID_COUNTS)))
+    k = draw(st.sampled_from(_VALID_COUNTS[pattern]))
+    endpoints = draw(st.permutations(range(64)))[:k]
+    length = draw(st.integers(1, 6))
+    # rate 0, the ordinary range, and packet probabilities >= 1
+    rate = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                          st.floats(float(length), 2.0 * length)))
+    return dict(
+        endpoints=endpoints, injection_rate=rate, packet_length=length,
+        pattern=pattern, seed=draw(st.integers(0, 2**32 - 1)),
+        hotspot_fraction=draw(st.one_of(st.just(0.0), st.just(1.0),
+                                        st.floats(0.0, 1.0))),
+        hotspot_endpoint=draw(st.sampled_from(endpoints)),
+    )
+
+
+class TestKernelTrafficSource:
+    """The compiled kernel's traffic source must replay
+    ``packets_for_cycle`` exactly: same rows in the same order (row index
+    == pid), across any horizon split, ending on the same MT19937 state."""
+
+    @staticmethod
+    def _rows(case, cycles, warmup=0, measure_end=0, splits=()):
+        """(kernel rows, Python rows, kernel MT state, Python MT state)."""
+        from repro.noc.backends import native
+
+        if not native.available():
+            pytest.skip("no C compiler / native kernel disabled")
+        python = TrafficGenerator(**case)
+        source = native._TrafficSource(
+            native._load(), TrafficGenerator(**case), case["endpoints"],
+            warmup, measure_end,
+        )
+        for limit in sorted(splits) + [cycles]:
+            source.extend_to(limit)
+        expected = [
+            (c, p.source, p.destination, p.length, int(p.measured), p.pid)
+            for c in range(cycles)
+            for p in python.packets_for_cycle(c, warmup <= c < measure_end)
+        ]
+        columns = [col.tolist() for col in source.columns()]
+        got = [row + (pid,) for pid, row in enumerate(zip(*columns))]
+        return got, expected, source.mt_state(), python.rng_state()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_probability_compares_the_exact_double(self, seed):
+        """A packet probability one ulp either side of the first draw
+        splits on the draw's last bit: all 53 bits of random() match."""
+        first = TrafficGenerator([0, 1], 0.0, 1, seed=seed).rng_state()
+        draw = random.Random()
+        draw.setstate(first)
+        u = draw.random()
+        for rate in (math.nextafter(u, 0.0), u, math.nextafter(u, 1.0)):
+            case = dict(endpoints=[0, 1], injection_rate=rate,
+                        packet_length=1, seed=seed)
+            got, expected, _, _ = self._rows(case, cycles=1)
+            assert got == expected
+            assert any(row[1] == 0 for row in expected) == (rate > u)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_traffic_cases(),
+           warmup=st.integers(0, 60), measure=st.integers(0, 60),
+           splits=st.lists(st.integers(0, 150), max_size=4))
+    def test_matches_packets_for_cycle(self, case, warmup, measure, splits):
+        got, expected, state, python_state = self._rows(
+            case, 150, warmup, warmup + measure, splits)
+        assert got == expected
+        assert state == python_state

@@ -73,6 +73,21 @@ class TestRunningStats:
         s.extend(data)
         assert s.mean == pytest.approx(sum(data) / len(data), abs=1e-6)
 
+    @given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.floats(-1e6, 1e6)),
+                    max_size=50),
+           st.lists(st.floats(-1e6, 1e6), max_size=5))
+    def test_extend_is_add_in_order_bit_for_bit(self, data, head):
+        """Results are pinned bit-identical across engines, so the batch
+        update must do exactly the per-value arithmetic."""
+        batch, single = RunningStats(), RunningStats()
+        for value in head:
+            batch.add(value)
+            single.add(value)
+        batch.extend(data)
+        for value in data:
+            single.add(value)
+        assert batch == single
+
 
 class TestScalarStats:
     def test_mean(self):
