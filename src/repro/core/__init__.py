@@ -62,7 +62,6 @@ from repro.core.system import (
     EvaluationReport,
     NetworkEvaluation,
     NoCSprintingSystem,
-    WorkloadEvaluation,
 )
 from repro.core.topological import (
     SprintTopology,
@@ -101,7 +100,6 @@ __all__ = [
     "EvaluationReport",
     "NetworkEvaluation",
     "NoCSprintingSystem",
-    "WorkloadEvaluation",
     "BypassPlan",
     "plan_bypass",
     "LbdrRouter",

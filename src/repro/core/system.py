@@ -7,15 +7,12 @@ simulator), thermal peak and sprint duration -- i.e. one row of each of the
 paper's evaluation figures.
 
 The single entry point is :meth:`NoCSprintingSystem.evaluate`, which
-returns a structured :class:`EvaluationReport`; the per-axis methods
-(``speedup``, ``core_power``, ``evaluate_network``, ``peak_temperature``)
-are deprecated delegates kept one release for callers that want one
-number -- they warn and forward to :meth:`~NoCSprintingSystem.evaluate`.
-Network
-simulations are described by :class:`~repro.noc.spec.SimulationSpec`
-values and executed through the sweep engine (:mod:`repro.exec`), so
-repeated evaluations hit the system's result cache instead of
-re-simulating.
+returns a structured :class:`EvaluationReport`; read one number off its
+fields (``speedup``, ``core_power_w``, ``network``,
+``peak_temperature_k``).  Network simulations are described by
+:class:`~repro.noc.spec.SimulationSpec` values and executed through the
+sweep engine (:mod:`repro.exec`), so repeated evaluations hit the
+system's result cache instead of re-simulating.
 
 Schemes:
 
@@ -29,7 +26,6 @@ Schemes:
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 from repro.cmp.perf_model import BenchmarkProfile, profile_workload
@@ -133,19 +129,6 @@ class EvaluationReport:
                 "sprint_duration_s": self.sprint_duration_s,
             },
         }
-
-
-#: Back-compat alias; ``EvaluationReport`` is the current name.
-WorkloadEvaluation = EvaluationReport
-
-
-def _warn_deprecated(name: str, field: str) -> None:
-    warnings.warn(
-        f"NoCSprintingSystem.{name}() is deprecated; call evaluate() and "
-        f"read {field} off the EvaluationReport",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class NoCSprintingSystem:
@@ -336,20 +319,7 @@ class NoCSprintingSystem:
         )
 
     # ------------------------------------------------------------------
-    # performance (Figure 7) -- delegates
-    # ------------------------------------------------------------------
-    def execution_time(self, workload: str | BenchmarkProfile, scheme: str) -> float:
-        """Deprecated: use :meth:`evaluate` and read ``relative_time``."""
-        _warn_deprecated("execution_time", "relative_time")
-        return self.evaluate(workload, scheme).relative_time
-
-    def speedup(self, workload: str | BenchmarkProfile, scheme: str) -> float:
-        """Deprecated: use :meth:`evaluate` and read ``speedup``."""
-        _warn_deprecated("speedup", "speedup")
-        return self.evaluate(workload, scheme).speedup
-
-    # ------------------------------------------------------------------
-    # power (Figures 8 and 10) -- delegates over private helpers
+    # power (Figures 8 and 10) -- private helpers
     # ------------------------------------------------------------------
     def _core_power(self, level: int, scheme: str) -> float:
         policy = "idle" if scheme == "naive_fine_grained" else "gated"
@@ -364,16 +334,6 @@ class NoCSprintingSystem:
             "noc_sprinting": "noc_sprinting",
         }
         return self.chip_model.sprint_chip_power(level, mapping[scheme])
-
-    def core_power(self, workload: str | BenchmarkProfile, scheme: str) -> float:
-        """Deprecated: use :meth:`evaluate` and read ``core_power_w``."""
-        _warn_deprecated("core_power", "core_power_w")
-        return self.evaluate(workload, scheme).core_power_w
-
-    def chip_power(self, workload: str | BenchmarkProfile, scheme: str) -> ChipPowerReport:
-        """Deprecated: use :meth:`evaluate` and read ``chip_power``."""
-        _warn_deprecated("chip_power", "chip_power")
-        return self.evaluate(workload, scheme).chip_power
 
     # ------------------------------------------------------------------
     # network (Figures 9, 10, 11)
@@ -464,27 +424,6 @@ class NoCSprintingSystem:
         sim = runner.run([spec]).results[0]
         return spec, self.network_evaluation_for(spec, sim, scheme)
 
-    def evaluate_network(
-        self,
-        workload: str | BenchmarkProfile,
-        scheme: str,
-        seed: int | None = None,
-        warmup_cycles: int = 500,
-        measure_cycles: int = 2000,
-    ) -> NetworkEvaluation:
-        """Deprecated: use :meth:`evaluate` with ``simulate_network=True``."""
-        _warn_deprecated("evaluate_network", "network")
-        report = self.evaluate(
-            workload,
-            scheme,
-            simulate_network=True,
-            seed=seed,
-            warmup_cycles=warmup_cycles,
-            measure_cycles=measure_cycles,
-        )
-        assert report.network is not None
-        return report.network
-
     # ------------------------------------------------------------------
     # thermal (Figure 12 / Section 4.4)
     # ------------------------------------------------------------------
@@ -511,15 +450,6 @@ class NoCSprintingSystem:
         else:
             tiles = sprint_tile_powers(self._full_topology, self.chip_model)
         return self.thermal_grid.peak_temperature(tiles)
-
-    def peak_temperature(
-        self, workload: str | BenchmarkProfile, scheme: str, floorplanned: bool = False
-    ) -> float:
-        """Deprecated: use :meth:`evaluate` with ``thermal=True``."""
-        _warn_deprecated("peak_temperature", "peak_temperature_k")
-        report = self.evaluate(workload, scheme, thermal=True, floorplanned=floorplanned)
-        assert report.peak_temperature_k is not None
-        return report.peak_temperature_k
 
     def sprint_duration_gain(self, workload: str | BenchmarkProfile) -> float:
         """Useful sprint duration, NoC-sprinting over full-sprinting.

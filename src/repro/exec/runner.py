@@ -32,7 +32,6 @@ the unfinished points.
 
 from __future__ import annotations
 
-import inspect
 import os
 import signal
 import threading
@@ -140,26 +139,6 @@ _KIND_COUNTER = {
     "timeout": "sweep_timeouts_total",
     "crash": "sweep_crashes_total",
 }
-
-
-def _progress_accepts_outcome(progress) -> bool:
-    """True when a progress callback takes the 4th ``outcome`` argument.
-
-    Legacy callbacks are ``progress(done, total, point)``; new-style ones
-    add ``outcome`` and are additionally invoked for failed points.  The
-    arity sniff keeps every pre-existing 3-argument callback working.
-    """
-    try:
-        signature = inspect.signature(progress)
-    except (TypeError, ValueError):
-        return False
-    positional = 0
-    for param in signature.parameters.values():
-        if param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
-            positional += 1
-        elif param.kind == param.VAR_POSITIONAL:
-            return True
-    return positional >= 4
 
 
 def _ignore_sigint() -> None:
@@ -342,13 +321,11 @@ class SweepRunner:
     private in-memory cache; pass a shared :class:`ResultCache` to reuse
     results across runners, benchmarks and CLI invocations.  ``progress``
     (if given) is called the moment each point completes -- cache hits
-    first (in input order), simulated points in completion order.  A
-    callback accepting four positional arguments is called as
-    ``progress(done, total, point, outcome)`` with ``outcome`` one of
-    ``"cached"``, ``"simulated"`` or ``"failed"`` (``point`` is a
-    :class:`FailedPoint` for failures), so a progress bar can render
-    failures as they happen.  A legacy three-argument callback keeps the
-    old contract: failed points advance ``done`` without a callback.
+    first (in input order), simulated points in completion order, failed
+    points as they fail -- as ``progress(done, total, point, outcome)``
+    with ``outcome`` one of ``"cached"``, ``"simulated"`` or ``"failed"``
+    (``point`` is a :class:`FailedPoint` for failures), so a progress bar
+    can render failures as they happen.
 
     ``telemetry`` (a :class:`~repro.telemetry.Telemetry` bundle) adds a
     ``sweep`` span with one child ``point`` span per unique simulated spec,
@@ -369,7 +346,7 @@ class SweepRunner:
         self,
         workers: int = 1,
         cache: ResultCache | None = None,
-        progress: Callable[[int, int, SweepPoint], None] | None = None,
+        progress: Callable[[int, int, SweepPoint | FailedPoint, str], None] | None = None,
         max_retries: int = 0,
         point_timeout: float | None = None,
         retry_backoff_s: float = 0.05,
@@ -396,9 +373,6 @@ class SweepRunner:
         self.workers = workers
         self.cache = cache if cache is not None else ResultCache()
         self.progress = progress
-        self._progress_outcome = (
-            progress is not None and _progress_accepts_outcome(progress)
-        )
         self.max_retries = max_retries
         self.point_timeout = point_timeout
         self.retry_backoff_s = retry_backoff_s
@@ -476,12 +450,8 @@ class SweepRunner:
                 tel.absorb(payload, point_span(key).id)
 
         def notify(done: int, total: int, point, outcome: str) -> None:
-            if self.progress is None:
-                return
-            if self._progress_outcome:
+            if self.progress is not None:
                 self.progress(done, total, point, outcome)
-            elif outcome != "failed":
-                self.progress(done, total, point)
 
         points: dict[int, SweepPoint] = {}
         failures: dict[int, FailedPoint] = {}

@@ -4,11 +4,12 @@ Importing this package registers the two built-in engines:
 
 - ``"reference"`` -- the cycle-accurate object-model simulator, the
   semantic ground truth every other engine is validated against;
-- ``"vectorized"`` -- the flat-array fast path, bit-identical to the
-  reference on *every* capability (fault schedules, gating policies,
-  adaptive routing, telemetry sampling and tracing) and several times
-  faster; a self-compiled C kernel accelerates the runs it covers, with
-  a pure-Python flat engine as the documented fallback for the rest.
+- ``"vectorized"`` -- the fast path, a self-compiled C kernel
+  bit-identical to the reference on *every* capability (fault
+  schedules, timeout gating, adaptive routing, telemetry sampling and
+  tracing) and many times faster; runs the kernel cannot take (no C
+  compiler, ``REPRO_NOC_NATIVE=0``, custom gating policies) fall back to
+  the reference engine.
 
 Both engines declare the full capability set, so explicit backend
 selection never needs to fall back for feature reasons; capability
@@ -45,7 +46,7 @@ from repro.noc.backends.base import (
     supports,
 )
 from repro.noc.backends.reference import ReferenceBackend
-from repro.noc.backends.vectorized import VectorizedBackend
+from repro.noc.backends.native import VectorizedBackend
 
 register_backend(ReferenceBackend())
 register_backend(VectorizedBackend())

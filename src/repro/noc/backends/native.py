@@ -1,22 +1,21 @@
-"""Compiled-kernel accelerator behind the vectorized backend.
+"""The vectorized backend: a compiled C kernel with a reference fallback.
 
-The vectorized backend's flat-array pipeline replica
-(:mod:`repro.noc.backends.vectorized`) is exact but interpreter-bound:
-profiling puts its per-router allocation pass at a few microseconds, and
-a loaded mesh runs hundreds of thousands of them.  This module carries
-the *same* kernel -- decision for decision: VC allocation order, switch
+The reference engine (:mod:`repro.noc.backends.reference`) steps live
+router objects and is interpreter-bound.  This module carries the *same*
+pipeline -- decision for decision: VC allocation order, switch
 allocation round-robins, credit timing, ejection order -- as a small C
-translation unit, compiled on demand with whatever ``cc``/``gcc``/
-``clang`` the host provides and loaded through :mod:`ctypes`.
+translation unit over flat arrays, compiled on demand with whatever
+``cc``/``gcc``/``clang`` the host provides and loaded through
+:mod:`ctypes`.
 
 The compiled object is cached in the system temp directory under a name
 keyed by the SHA-256 of the embedded source, so each kernel revision
 compiles once per machine; publication is an atomic :func:`os.replace`
 so concurrent sweep workers never observe a half-written library.  When
 no compiler is available, compilation fails, or ``REPRO_NOC_NATIVE=0``
-disables the path, :func:`available` returns False and the vectorized
-backend silently falls back to its pure-Python kernel -- same results,
-just slower.
+disables the path, :func:`available` returns False and
+:class:`VectorizedBackend` runs the reference engine instead -- same
+results, just slower.
 
 Division of labour with the Python driver:
 
@@ -34,24 +33,29 @@ Division of labour with the Python driver:
 - the kernel returns the measured packets' ejection order, and Python
   replays the latency/hop statistics in that order so the Welford mean
   accumulates in exactly the reference sequence;
+- gated runs run in C as well: a plain
+  :class:`~repro.noc.power_gating.TimeoutGatingPolicy` is data (its
+  ``idle_timeout``, a per-router protected mask and the network's
+  8-cycle wakeup latency), the kernel applies its rule every cycle and
+  returns the gate, wake and gated-router-cycle counts, which the driver
+  adds to ``policy.stats`` once the run is complete; any other policy
+  object runs on the reference engine;
 - telemetry runs batch their per-interval activity capture inside the
-  kernel (sample cycle, flits in flight, per-router buffer occupancy and
-  cumulative ejections land in flat arrays, including back-filled rows
-  for fast-forwarded idle stretches), and the driver replays them as the
-  same spans, sample events and metrics the Python kernels emit --
-  cumulative per-router injection counts are reconstructed from the
-  pre-drawn packet columns, so the kernel never touches them;
+  kernel (sample cycle, flits in flight, per-router buffer occupancy,
+  gating flags and cumulative ejections land in flat arrays, including
+  back-filled rows for fast-forwarded idle stretches), and the driver
+  replays them as the same spans, sample events and metrics the
+  reference emits -- cumulative per-router injection counts are
+  reconstructed from the pre-drawn packet columns, so the kernel never
+  touches them;
 - fault schedules run as a *chain* of kernel segments, one per region
   configuration, over one drawn packet stream: the kernel stops at the
   next fault boundary (reporting per-packet progress), the driver
   replays the reference's teardown / drop-and-retransmit policy in
   Python -- survivors, carried as global row ids, become seed rows of
   the next segment's packet columns, re-entering through the normal NI
-  path in pid order -- and the fault counters, activity folds and
-  telemetry accumulate across segments.  Gated runs are the one thing
-  this module never sees: the policy is an arbitrary Python object the
-  kernel cannot call back into every cycle, so they stay on the
-  pure-Python flat engine, with Python traffic.
+  path in pid order -- and the fault counters, activity folds, gating
+  counts and telemetry accumulate across segments.
 """
 
 from __future__ import annotations
@@ -64,10 +68,18 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.noc.activity import NetworkActivity
+from repro.noc.backends.base import (
+    ALL_CAPABILITIES,
+    check_capabilities,
+    required_capabilities,
+)
+from repro.noc.backends.reference import ReferenceBackend, _record_sim_metrics
+from repro.noc.power_gating import TimeoutGatingPolicy
 from repro.noc.result import SimulationResult
 from repro.noc.routing import PORT_COUNT, PORT_TO_DIRECTION, REVERSE_PORT
 from repro.noc.spec import SimulationSpec
@@ -80,6 +92,8 @@ _MAX_VCS = 12
 _FLAG_UNFINISHED = 1  # simulation ran past the pre-drawn traffic horizon
 _FLAG_IDLE_BREAK = 2  # whole-mesh idle exit before the window closed
 _FLAG_BOUNDARY = 4  # stopped at a fault boundary (stop_cycle) for the driver
+
+_WAKEUP_LATENCY = 8  # the reference Network's default wakeup latency
 
 _REV = np.array([REVERSE_PORT.get(p, 0) for p in range(PORT_COUNT)], dtype=np.int64)
 _REV.flags.writeable = False
@@ -101,14 +115,23 @@ typedef long long i64;
  * free-VC assignment, both switch-allocation round-robins), every
  * pipeline delay (VA at arrival+2, head SA one cycle after VA, body SA
  * at arrival+1, credits at +1, links at +2) and the ejection sequence
- * match the Python kernels bit for bit.
+ * match the reference engine bit for bit.
  *
  * Fault schedules run as a chain of segments: each reconfiguration
  * tears the network down to fresh state anyway, so the driver invokes
  * the kernel once per region with `start_cycle` at the boundary,
  * `stop_cycle` at the next one, and the surviving packets spliced into
  * the packet columns at `start_cycle` (seed rows precede that cycle's
- * creations, preserving the reference's re-injection order). */
+ * creations, preserving the reference's re-injection order).
+ *
+ * `gating` runs TimeoutGatingPolicy from data: each cycle the policy
+ * sees the state the previous cycle left, gating every unprotected,
+ * empty router with an idle NI that has been inactive for `idle_timeout`
+ * cycles; link arrivals, NI pressure and switch nominations blocked on
+ * a gated next hop request a wake `wakeup` cycles out, due wakes
+ * complete before allocation, gated routers sit allocation out, powered
+ * cycles accrue per router, and the whole-mesh idle jump is off (the
+ * policy observes every cycle). */
 i64 run_kernel(
     i64 count, i64 vcs, i64 depth, i64 mesh,
     const i64 *neighbor,   /* count*5 router indices, -1 when absent   */
@@ -128,14 +151,19 @@ i64 run_kernel(
     i64 *p_started,        /* n_pkts: >=1 flit left the source NI      */
     i64 *ej_order,         /* capacity n_pkts: measured ejection order */
     i64 *counters,         /* count*4: writes, reads, links, va grants */
-    i64 *out,              /* 10 scalars, see driver                   */
+    i64 *out,              /* 12 scalars, see _kernel_run              */
     i64 interval,          /* telemetry sample period, 0 = no capture  */
     i64 s_cap,             /* capacity of the sample arrays            */
     i64 *s_cycle,          /* s_cap: sample instants                   */
     i64 *s_inflight,       /* s_cap: flits in flight at the instant    */
     i64 *s_occ,            /* s_cap*count: per-router buffered flits   */
     i64 *s_ej,             /* s_cap*count: cumulative ejected flits    */
-    i64 *ej_out)           /* count: final cumulative ejected flits    */
+    i64 *ej_out,           /* count: final cumulative ejected flits    */
+    i64 gating,            /* nonzero: run the timeout gating policy   */
+    i64 idle_timeout, i64 wakeup,
+    const i64 *protect,    /* count: 1 = never gated                   */
+    i64 *powered,          /* count: powered cycles in the window      */
+    i64 *s_gated)          /* s_cap*count: gated flags (when gating)   */
 {
     i64 slots = 5 * vcs;
     i64 gslots = count * slots;
@@ -174,17 +202,28 @@ i64 run_kernel(
     i64 *aring = malloc((size_t)3 * ring_cap * 4 * sizeof(i64));
     i64 cring_n[2] = {0, 0};
     i64 aring_n[3] = {0, 0, 0};
+    /* run-time gating: flags, pending wake cycle (-1 none), last activity */
+    i64 *gated = calloc((size_t)count, sizeof(i64));
+    i64 *wake_at = malloc((size_t)count * sizeof(i64));
+    i64 *last_act = calloc((size_t)count, sizeof(i64));
+    i64 gate_events = 0, wake_events = 0, gated_cycles = 0;
+
+#define FREE_ALL() do {                                                   \
+        free(f_arr); free(f_idx); free(f_pkt); free(rh); free(fl);        \
+        free(vc_out); free(vc_elig); free(owner); free(credits);          \
+        free(va_ptr); free(sa_in); free(sa_out); free(occ); free(vap);    \
+        free(buffered); free(ej_cum); free(wake); free(qhead);            \
+        free(qtail); free(pnext); free(cur_pkt); free(cur_idx);           \
+        free(cur_vc); free(ni_ptr); free(cring); free(aring);             \
+        free(gated); free(wake_at); free(last_act);                       \
+    } while (0)
 
     if (!f_arr || !f_idx || !f_pkt || !rh || !fl || !vc_out || !vc_elig ||
         !owner || !credits || !va_ptr || !sa_in || !sa_out || !occ || !vap ||
         !buffered || !ej_cum || !wake || !qhead || !qtail || !pnext ||
-        !cur_pkt || !cur_idx || !cur_vc || !ni_ptr || !cring || !aring) {
-        free(f_arr); free(f_idx); free(f_pkt); free(rh); free(fl);
-        free(vc_out); free(vc_elig); free(owner); free(credits);
-        free(va_ptr); free(sa_in); free(sa_out); free(occ); free(vap);
-        free(buffered); free(ej_cum); free(wake); free(qhead); free(qtail);
-        free(pnext); free(cur_pkt); free(cur_idx); free(cur_vc);
-        free(ni_ptr); free(cring); free(aring);
+        !cur_pkt || !cur_idx || !cur_vc || !ni_ptr || !cring || !aring ||
+        !gated || !wake_at || !last_act) {
+        FREE_ALL();
         return 1;
     }
 
@@ -200,13 +239,16 @@ i64 run_kernel(
                    (size_t)count * sizeof(i64));                          \
             memcpy(s_ej + n_s * count, ej_cum,                            \
                    (size_t)count * sizeof(i64));                          \
+            if (gating)                                                   \
+                memcpy(s_gated + n_s * count, gated,                      \
+                       (size_t)count * sizeof(i64));                      \
             n_s++;                                                        \
         }                                                                 \
     } while (0)
 
     for (i64 g = 0; g < gslots; g++) { vc_out[g] = -1; owner[g] = -1; }
     for (i64 i = 0; i < count; i++) {
-        qhead[i] = -1; qtail[i] = -1; cur_pkt[i] = -1;
+        qhead[i] = -1; qtail[i] = -1; cur_pkt[i] = -1; wake_at[i] = -1;
         for (i64 v = 0; v < vcs; v++)
             credits[i * slots + v] = 1LL << 30;  /* ejection: unbounded */
         for (i64 port = 1; port < 5; port++)
@@ -229,7 +271,7 @@ i64 run_kernel(
          * fires there; a seeded segment starts with in_flight == 0
          * (seeds enter through the packet columns below), so skip the
          * idle check on the seeded first cycle to match */
-        if (!in_flight && !events_pending
+        if (!gating && !in_flight && !events_pending
             && (start_cycle == 0 || cycle != start_cycle)) {
             /* whole-mesh idle: jump to the next scheduled packet or the
              * stop boundary, or exit the way the reference loop does
@@ -279,6 +321,39 @@ i64 run_kernel(
 
         int win = warmup <= cycle && cycle < measure_end;
 
+        /* new packets enter their source NI queues */
+        while (p < n_pkts && p_cycle[p] == cycle) {
+            i64 i = p_src[p];
+            pnext[p] = -1;
+            if (qtail[i] < 0) qhead[i] = p; else pnext[qtail[i]] = p;
+            qtail[i] = p;
+            in_flight += p_len[p];
+            if (p_meas[p]) created_measured++;
+            p++;
+        }
+
+        /* the gating policy steps on the state the previous cycle left
+         * (it sees this cycle's NI queue entries), then wakes due now
+         * complete and powered routers accrue the cycle */
+        if (gating) {
+            for (i64 i = 0; i < count; i++) {
+                if (gated[i]) {
+                    gated_cycles++;
+                    if (wake_at[i] < 0 || cycle < wake_at[i]) continue;
+                    if (wake_at[i] == cycle) wake_events++;
+                    gated[i] = 0; wake_at[i] = -1;
+                    last_act[i] = cycle; wake[i] = cycle;
+                } else if (!protect[i] && !buffered[i] && cur_pkt[i] < 0
+                           && qhead[i] < 0
+                           && cycle - last_act[i] >= idle_timeout) {
+                    gated[i] = 1; wake_at[i] = -1;
+                    gate_events++;
+                    continue;
+                }
+                if (win) powered[i]++;
+            }
+        }
+
         /* deliver credits scheduled for this cycle */
         {
             i64 r = cycle % 2, n = cring_n[r];
@@ -310,27 +385,24 @@ i64 run_kernel(
                 if (vc_out[g] < 0) vap[i] |= 1LL << s;
                 wake[i] = cycle;
                 if (win) counters[i * 4]++;
+                if (gating) {  /* a gated router takes it, then wakes */
+                    last_act[i] = cycle;
+                    if (gated[i] && wake_at[i] < 0) wake_at[i] = cycle + wakeup;
+                }
             }
             aring_n[r] = 0;
             events_pending -= n;
         }
 
-        /* new packets enter their source NI queues */
-        while (p < n_pkts && p_cycle[p] == cycle) {
-            i64 i = p_src[p];
-            pnext[p] = -1;
-            if (qtail[i] < 0) qhead[i] = p; else pnext[qtail[i]] = p;
-            qtail[i] = p;
-            in_flight += p_len[p];
-            if (p_meas[p]) created_measured++;
-            p++;
-        }
-
         /* NI injection: one flit per node per cycle into a claimed VC */
         for (i64 i = 0; i < count; i++) {
             i64 cp = cur_pkt[i];
+            if (cp < 0 && qhead[i] < 0) continue;
+            if (gated[i]) {  /* NI pressure wakes a gated router */
+                if (wake_at[i] < 0) wake_at[i] = cycle + wakeup;
+                continue;
+            }
             if (cp < 0) {
-                if (qhead[i] < 0) continue;
                 i64 chosen = -1;
                 for (i64 k = 0; k < vcs; k++) {
                     i64 v = ni_ptr[i] + k;
@@ -365,7 +437,7 @@ i64 run_kernel(
 
         /* per-router VC allocation + switch allocation + traversal */
         for (i64 i = 0; i < count; i++) {
-            if (!buffered[i] || wake[i] > cycle) continue;
+            if (!buffered[i] || wake[i] > cycle || gated[i]) continue;
             int acted = 0;
             i64 min_wait = NEVER;
             i64 base_g = i * slots;
@@ -480,6 +552,18 @@ i64 run_kernel(
                         }
                     }
                     if (credits[base_g + os] <= 0) continue;
+                    if (gating && os >= vcs) {
+                        /* blocked on a gated next hop: wake it, try the
+                         * port's next VC */
+                        i64 down = neighbor[i * 5 + os / vcs];
+                        if (gated[down]) {
+                            if (wake_at[down] < 0)
+                                wake_at[down] = cycle + wakeup;
+                            if (wake_at[down] < min_wait)
+                                min_wait = wake_at[down];
+                            continue;
+                        }
+                    }
                     nom_in[n_nom] = in_p; nom_v[n_nom] = v;
                     nom_s[n_nom] = s; nom_os[n_nom] = os;
                     n_nom++;
@@ -578,6 +662,7 @@ i64 run_kernel(
                 sa_in[i * 5 + in_p] = v + 1 < vcs ? v + 1 : 0;
                 sa_out[i * 5 + os / vcs] = (in_p + 1) % 5;
             }
+            last_act[i] = cycle;
             wake[i] = cycle + 1;
         }
 
@@ -597,17 +682,16 @@ i64 run_kernel(
     out[6] = n_s;
     out[7] = first_wu;
     out[8] = first_me;
+    out[9] = gate_events;
+    out[10] = wake_events;
+    out[11] = gated_cycles;
     memcpy(ej_out, ej_cum, (size_t)count * sizeof(i64));
 
-    free(f_arr); free(f_idx); free(f_pkt); free(rh); free(fl);
-    free(vc_out); free(vc_elig); free(owner); free(credits);
-    free(va_ptr); free(sa_in); free(sa_out); free(occ); free(vap);
-    free(buffered); free(ej_cum); free(wake); free(qhead); free(qtail);
-    free(pnext); free(cur_pkt); free(cur_idx); free(cur_vc); free(ni_ptr);
-    free(cring); free(aring);
+    FREE_ALL();
     return 0;
 }
 #undef CAPTURE
+#undef FREE_ALL
 
 /* The Bernoulli traffic source: TrafficGenerator.packets_for_cycle over
  * a range of cycles, drawing from a bit-exact port of CPython's MT19937
@@ -739,7 +823,7 @@ def _build() -> ctypes.CDLL:
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
     lib = ctypes.CDLL(cached)
-    ptr = ctypes.POINTER(ctypes.c_longlong)
+    ptr = ctypes.c_void_p  # raw addresses: see _as_ptr
     c64 = ctypes.c_longlong
     lib.run_kernel.restype = c64
     lib.run_kernel.argtypes = [
@@ -753,10 +837,12 @@ def _build() -> ctypes.CDLL:
         ptr, ptr,                    # counters, out
         c64, c64,                    # interval, s_cap
         ptr, ptr, ptr, ptr, ptr,     # s_cycle, s_inflight, s_occ, s_ej, ej_out
+        c64, c64, c64,               # gating, idle_timeout, wakeup
+        ptr, ptr, ptr,               # protect, powered, s_gated
     ]
     lib.draw_traffic.restype = c64
     lib.draw_traffic.argtypes = [
-        ctypes.POINTER(ctypes.c_uint32),  # mt
+        ptr,                         # mt
         c64, ptr, ptr, ptr, c64,     # k, ep_src, ep_node, perm, mode
         ctypes.c_double, ctypes.c_double, c64,  # prob, hot_frac, hot
         c64, c64, c64,               # length, warmup, measure_end
@@ -792,8 +878,10 @@ def available() -> bool:
     return _load() is not None
 
 
-def _as_ptr(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
+def _as_ptr(array: np.ndarray) -> int:
+    """The array's data address (the caller keeps the array alive);
+    several times cheaper per call than ``ctypes.data_as``."""
+    return array.ctypes.data
 
 
 class _TrafficSource:
@@ -847,7 +935,7 @@ class _TrafficSource:
                 self._cols = grown
             cols = self._cols
             self.rows += self._lib.draw_traffic(
-                self._mt.ctypes.data_as(ctypes.POINTER(ctypes.c_uint32)),
+                _as_ptr(self._mt),
                 k, _as_ptr(self._ep_src), _as_ptr(self._ep_node),
                 _as_ptr(self._perm), *self._args,
                 self.horizon, limit, cols.shape[1] - self.rows,
@@ -902,29 +990,127 @@ def _region_arrays(topology, routing):
     return nodes, slot_of, route, neighbor
 
 
+def _emit_flat_sample(
+    tel, span_id, cycle, nodes, occ_list, in_flight, inj_flits, ej_flits,
+    gated, gated_cycles, interval,
+) -> None:
+    """One periodic sample from flat-array state, byte-compatible with the
+    reference backend's :func:`_emit_router_sample` payload.
+
+    ``occ_list`` is the per-router buffered-flit counts at the sample
+    instant; ``gated`` is the per-router gating flags when a policy is
+    active (``None`` otherwise -- every router reads as powered), and a
+    gated router is charged the whole ``interval`` into ``gated_cycles``
+    exactly like the reference sampler.
+    """
+    routers = {}
+    buffered_total = 0
+    for i, node in enumerate(nodes):
+        occupancy = occ_list[i]
+        buffered_total += occupancy
+        is_gated = 1 if gated is not None and gated[i] else 0
+        if is_gated:
+            gated_cycles[node] = gated_cycles.get(node, 0) + interval
+        routers[str(node)] = {
+            "inj": inj_flits.get(node, 0),
+            "ej": ej_flits.get(node, 0),
+            "occ": occupancy,
+            "gated": is_gated,
+        }
+    tel.metrics.histogram(
+        "noc_buffer_occupancy_flits",
+        help="total buffered flits at sample instants",
+        buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
+    ).observe(buffered_total)
+    tel.tracer.sample(
+        {
+            "cycle": cycle,
+            "in_flight": in_flight,
+            "buffered": buffered_total,
+            "routers": routers,
+        },
+        parent=span_id,
+    )
+
+
+def _kernel_run(lib, spec, region, cols, n_pkts, horizon, start, stop,
+                interval, gating):
+    """One kernel invocation over one region's packet columns.
+
+    ``gating`` is ``None`` or ``(idle_timeout, protected_nodes)``.
+    Returns the kernel's output arrays as a namespace -- ``out`` holds
+    cycles run, flags, ejections recorded, created/ejected measured
+    packets, measured flits, samples taken, the first visited cycles past
+    warmup and measure end, then the gate, wake and gated-router-cycle
+    counts -- or None on a non-zero status.
+    """
+    nodes, _, route, neighbor = region
+    count = len(nodes)
+    cfg = spec.config
+    topology = spec.topology
+    warmup = spec.warmup_cycles
+    measure_end = warmup + spec.measure_cycles
+    deadline = measure_end + spec.drain_cycles
+    s_cap = deadline // interval + 2 if interval else 1
+    rows = max(n_pkts, 1)
+    if not n_pkts:
+        cols = (np.zeros(1, dtype=np.int64),) * 5
+
+    def zeros(size):
+        return np.zeros(max(size, 1), dtype=np.int64)
+
+    run = SimpleNamespace(
+        p_hops=zeros(rows), p_eject=np.full(rows, -1, dtype=np.int64),
+        p_started=zeros(rows), ej_order=zeros(rows),
+        counters=zeros(count * 4), out=zeros(12),
+        s_cycle=zeros(s_cap), s_inflight=zeros(s_cap),
+        s_occ=zeros(s_cap * count), s_ej=zeros(s_cap * count),
+        ej_out=zeros(count), powered=zeros(count),
+        s_gated=zeros(s_cap * count if gating else 1),
+    )
+    timeout, protected = gating if gating else (0, frozenset())
+    protect = np.array([node in protected for node in nodes], dtype=np.int64)
+    status = lib.run_kernel(
+        count, cfg.vcs_per_port, cfg.buffers_per_vc,
+        topology.width * topology.height,
+        _as_ptr(neighbor), _as_ptr(route), _as_ptr(_REV),
+        n_pkts,
+        *(_as_ptr(col) for col in cols),
+        horizon, warmup, measure_end, deadline,
+        start, stop,
+        _as_ptr(run.p_hops), _as_ptr(run.p_eject), _as_ptr(run.p_started),
+        _as_ptr(run.ej_order), _as_ptr(run.counters), _as_ptr(run.out),
+        interval, s_cap,
+        _as_ptr(run.s_cycle), _as_ptr(run.s_inflight), _as_ptr(run.s_occ),
+        _as_ptr(run.s_ej), _as_ptr(run.ej_out),
+        1 if gating else 0, timeout, _WAKEUP_LATENCY,
+        _as_ptr(protect), _as_ptr(run.powered), _as_ptr(run.s_gated),
+    )
+    return run if status == 0 else None
+
+
 def _emit_run_telemetry(
-    tel, spec, traffic, nodes, packet_cols, cycles_run, flags, saturated,
-    created_measured, measured_ejected, measured_flits,
-    n_s, s_cycle, s_inflight, s_occ, s_ej, ej_out,
+    tel, spec, traffic, nodes, packet_cols, run, saturated, gating,
 ) -> None:
     """Replay one kernel run's batched activity capture as telemetry.
 
-    Reconstructs what the Python kernels emit live: the simulate/phase
-    span tree, one sample event per captured instant, and the end-of-run
+    Reconstructs what the reference emits live: the simulate/phase span
+    tree, one sample event per captured instant, and the end-of-run
     metrics fold.  Per-router cumulative injection counts (and the
     in-flight contribution of packets created *at* a sample instant,
     which the kernel's capture point precedes) are rebuilt from the
-    pre-drawn packet columns; occupancies and ejections come from the
-    kernel's capture arrays.
+    pre-drawn packet columns; occupancies, ejections and gating flags
+    come from the kernel's capture arrays.
     """
-    from repro.noc.backends.reference import _record_sim_metrics
-    from repro.noc.backends.vectorized import _emit_flat_sample
-
     warmup = spec.warmup_cycles
     measure_end = warmup + spec.measure_cycles
     count = len(nodes)
     p_cycle, p_src, p_len = packet_cols
     n_pkts = len(p_cycle)
+    out = run.out
+    cycles_run, flags = int(out[0]), int(out[1])
+    created_measured = int(out[3])
+    interval = tel.sample_interval
 
     tracer = tel.tracer
     sim_span = tracer.span(
@@ -950,9 +1136,10 @@ def _emit_run_telemetry(
         )
 
     inj: dict[int, int] = {}
+    gated_cycles: dict[int, int] = {}
     ptr = 0
-    for k in range(n_s):
-        c = int(s_cycle[k])
+    for k in range(int(out[6])):
+        c = int(run.s_cycle[k])
         flits_now = 0
         while ptr < n_pkts and p_cycle[ptr] <= c:
             node = nodes[p_src[ptr]]
@@ -962,23 +1149,26 @@ def _emit_run_telemetry(
                 flits_now += length
             ptr += 1
         base = k * count
-        occ_row = [int(x) for x in s_occ[base:base + count]]
-        ej_row = s_ej[base:base + count]
-        ej_map = {nodes[i]: int(ej_row[i]) for i in range(count)}
+        occ_row = run.s_occ[base:base + count].tolist()
+        ej_row = run.s_ej[base:base + count].tolist()
+        ej_map = {nodes[i]: ej_row[i] for i in range(count)}
         _emit_flat_sample(
             tel, sim_span.id, c, nodes, occ_row,
-            int(s_inflight[k]) + flits_now, inj, ej_map,
+            int(run.s_inflight[k]) + flits_now, inj, ej_map,
+            run.s_gated[base:base + count].tolist() if gating else None,
+            gated_cycles, interval,
         )
     while ptr < n_pkts and p_cycle[ptr] < cycles_run:
         inj[nodes[p_src[ptr]]] = inj.get(nodes[p_src[ptr]], 0) + p_len[ptr]
         ptr += 1
 
+    ej_out = run.ej_out
     ej_final = {nodes[i]: int(ej_out[i]) for i in range(count) if ej_out[i]}
     _record_sim_metrics(
         tel, cycles_run, created_measured,
-        {"measured": measured_ejected, "measured_flits": measured_flits},
+        {"measured": int(out[4]), "measured_flits": int(out[5])},
         {"dropped": 0, "retransmitted": 0, "reconfigurations": 0},
-        saturated, inj, ej_final, {},
+        saturated, inj, ej_final, gated_cycles,
     )
     phase_span.annotate(end_cycle=cycles_run)
     phase_span.end()
@@ -991,45 +1181,66 @@ def _emit_run_telemetry(
     sim_span.end()
 
 
-def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
-    """Run ``spec`` on the compiled kernel; None means "use the fallback".
+def execute(
+    spec: SimulationSpec, gating_policy=None, telemetry=None
+) -> SimulationResult | None:
+    """Run ``spec`` on the compiled kernel; None means "use the reference".
 
-    Returns None -- meaning "run the pure-Python flat engine instead" --
-    when the kernel is unavailable or when the configuration exceeds its
-    fixed-width state (more than ``_MAX_VCS`` virtual channels).  Fault
-    schedules run as a chain of kernel segments, one per reconfigured
-    region, with the Python side replaying the reference's boundary
-    policy (drop-and-retransmit) between invocations.  Gated runs never
-    reach this function (the policy is a Python object the kernel cannot
-    call back into every cycle).  With active telemetry the kernel
-    batches per-interval activity captures and the driver replays them
-    as the spans, samples and metrics the Python kernels emit.
+    ``gating_policy`` is ``None`` or a plain
+    :class:`~repro.noc.power_gating.TimeoutGatingPolicy`, whose rule the
+    kernel runs from data (``idle_timeout``, ``protected_nodes`` and the
+    reference network's 8-cycle wakeup latency); its ``stats`` gain the
+    run's gate, wake and gated-router-cycle counts once the run is
+    complete.  Returns None -- meaning "run the reference engine
+    instead" -- when the kernel is unavailable, the configuration exceeds
+    its fixed-width state (more than ``_MAX_VCS`` virtual channels), the
+    timeout is not an integer, or the kernel reports a non-zero status.
+    Fault schedules run as a chain of kernel segments, one per
+    reconfigured region, with the Python side replaying the reference's
+    boundary policy (drop-and-retransmit) between invocations.  With
+    active telemetry the kernel batches per-interval activity captures
+    and the driver replays them as the spans, samples and metrics the
+    reference emits.
     """
     from repro.telemetry import active as _active_telemetry
 
-    cfg = spec.config
-    vcs = cfg.vcs_per_port
-    if vcs > _MAX_VCS:
+    if spec.config.vcs_per_port > _MAX_VCS:
         return None
     lib = _load()
     if lib is None:
         return None
+    gating = None
+    if gating_policy is not None:
+        timeout = gating_policy.idle_timeout
+        if type(timeout) is not int:
+            return None
+        # cycle distances lie in [0, deadline], so clamping keeps every
+        # comparison and fits the kernel's 64-bit integers
+        deadline = spec.warmup_cycles + spec.measure_cycles + spec.drain_cycles
+        gating = (max(0, min(timeout, deadline + 1)),
+                  gating_policy.protected_nodes)
     tel = _active_telemetry(telemetry)
     interval = tel.sample_interval if tel is not None else 0
-    if spec.faults:
-        return _execute_faulted(spec, lib, tel, interval)
+    totals = np.zeros(3, dtype=np.int64)  # gates, wakes, gated router-cycles
+    run = _execute_faulted if spec.faults else _execute_plain
+    result = run(spec, lib, tel, interval, gating, totals)
+    if result is not None and gating_policy is not None:
+        stats = gating_policy.stats
+        stats.gate_events += int(totals[0])
+        stats.wake_events += int(totals[1])
+        stats.gated_router_cycles += int(totals[2])
+    return result
 
-    topology = spec.topology
-    depth = cfg.buffers_per_vc
-    count = len(topology.active_nodes)
-    mesh_size = topology.width * topology.height
-    nodes, slot_of, route, neighbor = _region_arrays(topology, spec.routing)
 
+def _execute_plain(spec, lib, tel, interval, gating, totals):
+    """Run an unfaulted spec as one kernel run over the whole horizon."""
     warmup = spec.warmup_cycles
     measure_cycles = spec.measure_cycles
     measure_end = warmup + measure_cycles
     deadline = measure_end + spec.drain_cycles
 
+    region = _region_arrays(spec.topology, spec.routing)
+    nodes, slot_of = region[0], region[1]
     traffic = spec.traffic.build()
     source = _TrafficSource(
         lib, traffic, slot_of[traffic.endpoints], warmup, measure_end
@@ -1040,40 +1251,18 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     # (grown, never redrawn, when the kernel outruns it)
     source.extend_to(min(deadline, measure_end + 1 + min(spec.drain_cycles, 2048)))
 
-    s_cap = deadline // interval + 2 if interval else 1
     while True:
-        n_pkts = source.rows
-        cols = source.columns() if n_pkts else (np.zeros(1, dtype=np.int64),) * 5
-        p_hops = np.zeros(max(n_pkts, 1), dtype=np.int64)
-        p_eject = np.full(max(n_pkts, 1), -1, dtype=np.int64)
-        p_started = np.zeros(max(n_pkts, 1), dtype=np.int64)
-        ej_order = np.zeros(max(n_pkts, 1), dtype=np.int64)
-        counters = np.zeros(count * 4, dtype=np.int64)
-        out = np.zeros(10, dtype=np.int64)
-        s_cycle = np.zeros(s_cap, dtype=np.int64)
-        s_inflight = np.zeros(s_cap, dtype=np.int64)
-        s_occ = np.zeros(s_cap * count, dtype=np.int64)
-        s_ej = np.zeros(s_cap * count, dtype=np.int64)
-        ej_out = np.zeros(max(count, 1), dtype=np.int64)
-        status = lib.run_kernel(
-            count, vcs, depth, mesh_size,
-            _as_ptr(neighbor), _as_ptr(route), _as_ptr(_REV),
-            n_pkts,
-            *(_as_ptr(col) for col in cols),
-            source.horizon, warmup, measure_end, deadline,
-            0, -1,  # start at cycle 0, no fault boundary to stop at
-            _as_ptr(p_hops), _as_ptr(p_eject), _as_ptr(p_started),
-            _as_ptr(ej_order), _as_ptr(counters), _as_ptr(out),
-            interval, s_cap,
-            _as_ptr(s_cycle), _as_ptr(s_inflight), _as_ptr(s_occ),
-            _as_ptr(s_ej), _as_ptr(ej_out),
-        )
-        if status != 0:
+        cols = source.columns()
+        run = _kernel_run(lib, spec, region, cols, source.rows,
+                          source.horizon, 0, -1, interval, gating)
+        if run is None:
             return None
-        if not out[1] & _FLAG_UNFINISHED:
+        if not run.out[1] & _FLAG_UNFINISHED:
             break
         source.extend_to(min(deadline, max(source.horizon * 4, source.horizon + 1)))
 
+    out = run.out
+    totals += out[9:12]
     cycles_run = int(out[0])
     created_measured = int(out[3])
     measured_ejected = int(out[4])
@@ -1081,26 +1270,25 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
 
     latency = RunningStats()
     hops_stats = RunningStats()
-    order = ej_order[:int(out[2])]
-    latencies = (p_eject[order] - cols[0][order]).tolist()
+    order = run.ej_order[:int(out[2])]
+    latencies = (run.p_eject[order] - cols[0][order]).tolist()
     latency.extend(latencies)
-    hops_stats.extend(p_hops[order].tolist())
+    hops_stats.extend(run.p_hops[order].tolist())
 
     saturated = measured_ejected < created_measured
     endpoints = len(traffic.endpoints)
 
     if tel is not None:
-        c_cycle, c_src, _, c_len, _ = source.columns()
+        c_cycle, c_src, _, c_len, _ = cols
         _emit_run_telemetry(
             tel, spec, traffic, nodes,
             (c_cycle.tolist(), c_src.tolist(), c_len.tolist()),
-            cycles_run, int(out[1]), saturated,
-            created_measured, measured_ejected, measured_flits,
-            int(out[6]), s_cycle, s_inflight, s_occ, s_ej, ej_out,
+            run, saturated, gating,
         )
 
     activity = NetworkActivity()
-    counts = counters.tolist()
+    counts = run.counters.tolist()
+    powered = run.powered.tolist()
     for i, node in enumerate(nodes):
         router_activity = activity.router(node)
         router_activity.buffer_writes = counts[i * 4]
@@ -1109,7 +1297,8 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
         router_activity.switch_arbitrations = counts[i * 4 + 1]
         router_activity.link_traversals = counts[i * 4 + 2]
         router_activity.vc_allocations = counts[i * 4 + 3]
-        router_activity.cycles_powered = measure_cycles
+        # never-gated routers are powered for the whole window
+        router_activity.cycles_powered = powered[i] if gating else measure_cycles
 
     return SimulationResult(
         avg_latency=latency.mean if latency.count else 0.0,
@@ -1134,28 +1323,25 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     )
 
 
-def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
+def _execute_faulted(spec, lib, tel, interval, gating, totals):
     """Run a faulted spec as a chain of fresh-network kernel segments.
 
     A fault boundary in the reference engine tears the network down and
     rebuilds it from scratch on the reconfigured region, re-injecting
     every surviving packet through the normal NI path -- so the only
     state that crosses a boundary is the survivor list, the fault
-    counters and the cumulative telemetry.  Each segment is therefore an
-    ordinary kernel run: it starts at the boundary with the survivors
-    spliced into the packet columns (in pid order, ahead of that cycle's
-    creations, exactly the reference's re-injection order) and stops at
-    the next boundary, where the driver replays the reference's
-    drop-and-retransmit policy before launching the next segment.
+    counters and the cumulative telemetry (gating state starts afresh
+    with every network, too).  Each segment is therefore an ordinary
+    kernel run: it starts at the boundary with the survivors spliced into
+    the packet columns (in pid order, ahead of that cycle's creations,
+    exactly the reference's re-injection order) and stops at the next
+    boundary, where the driver replays the reference's drop-and-
+    retransmit policy before launching the next segment.
     """
     from repro.core.faults import reconfigured_topology
 
-    cfg = spec.config
-    vcs = cfg.vcs_per_port
-    depth = cfg.buffers_per_vc
     planned = spec.topology
     faults = spec.faults
-    mesh_size = planned.width * planned.height
 
     warmup = spec.warmup_cycles
     measure_cycles = spec.measure_cycles
@@ -1166,7 +1352,6 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
     # global columns carry node ids; each segment maps them to its region
     source = _TrafficSource(lib, traffic, traffic.endpoints, warmup, measure_end)
     boundaries = faults.boundaries()
-    s_cap = deadline // interval + 2 if interval else 1
 
     counters = {
         "dropped": 0, "retransmitted": 0, "rerouted": 0,
@@ -1198,8 +1383,8 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
 
     while True:
         stop = boundaries[next_b] if next_b < len(boundaries) else -1
-        nodes, slot_of, route, neighbor = _region_arrays(region, routing)
-        count = len(nodes)
+        arrays = _region_arrays(region, routing)
+        nodes, slot_of = arrays[0], arrays[1]
         for node in nodes:
             activity.router(node)
 
@@ -1233,42 +1418,26 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
             seg_cycle[:n_seed] = seg_start
             cols = [seg_cycle, slot_of[g_src[g_rows]], g_dest[g_rows],
                     g_len[g_rows], g_meas[g_rows]]
-            if not n_pkts:
-                cols = [np.zeros(1, dtype=np.int64)] * 5
-            p_hops = np.zeros(max(n_pkts, 1), dtype=np.int64)
-            p_eject = np.full(max(n_pkts, 1), -1, dtype=np.int64)
-            p_started = np.zeros(max(n_pkts, 1), dtype=np.int64)
-            ej_order = np.zeros(max(n_pkts, 1), dtype=np.int64)
-            kcounters = np.zeros(count * 4, dtype=np.int64)
-            out = np.zeros(10, dtype=np.int64)
-            s_cycle = np.zeros(s_cap, dtype=np.int64)
-            s_inflight = np.zeros(s_cap, dtype=np.int64)
-            s_occ = np.zeros(s_cap * count, dtype=np.int64)
-            s_ej = np.zeros(s_cap * count, dtype=np.int64)
-            ej_out = np.zeros(max(count, 1), dtype=np.int64)
-            status = lib.run_kernel(
-                count, vcs, depth, mesh_size,
-                _as_ptr(neighbor), _as_ptr(route), _as_ptr(_REV),
-                n_pkts,
-                *(_as_ptr(col) for col in cols),
-                limit, warmup, measure_end, deadline,
-                seg_start, stop,
-                _as_ptr(p_hops), _as_ptr(p_eject), _as_ptr(p_started),
-                _as_ptr(ej_order), _as_ptr(kcounters), _as_ptr(out),
-                interval, s_cap,
-                _as_ptr(s_cycle), _as_ptr(s_inflight), _as_ptr(s_occ),
-                _as_ptr(s_ej), _as_ptr(ej_out),
-            )
-            if status != 0:
+            run = _kernel_run(lib, spec, arrays, cols, n_pkts, limit,
+                              seg_start, stop, interval, gating)
+            if run is None:
                 return None  # nothing emitted yet; fall back cleanly
+            out = run.out
             flags = int(out[1])
             if flags & _FLAG_UNFINISHED:
                 limit = min(deadline, max(limit * 4, limit + 1))
                 continue
             break
 
-        # fold this segment's activity and (analytic) powered cycles
-        counts = kcounters.tolist()
+        # fold this segment's activity and powered cycles (per router
+        # under gating, else the segment's overlap with the window)
+        totals += out[9:12]
+        counts = run.counters.tolist()
+        powered = run.powered.tolist()
+        stopped = bool(flags & _FLAG_BOUNDARY)
+        span = (min(stop, measure_end) if stopped else measure_end) - max(
+            seg_start, warmup
+        )
         for i, node in enumerate(nodes):
             ra = activity.router(node)
             ra.buffer_writes += counts[i * 4]
@@ -1277,13 +1446,10 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
             ra.switch_arbitrations += counts[i * 4 + 1]
             ra.link_traversals += counts[i * 4 + 2]
             ra.vc_allocations += counts[i * 4 + 3]
-        stopped = bool(flags & _FLAG_BOUNDARY)
-        span = (min(stop, measure_end) if stopped else measure_end) - max(
-            seg_start, warmup
-        )
-        if span > 0:
-            for node in nodes:
-                activity.router(node).cycles_powered += span
+            if gating:
+                ra.cycles_powered += powered[i]
+            elif span > 0:
+                ra.cycles_powered += span
 
         # global tallies: the kernel re-counts re-injected seeds in its
         # created_measured (they enter through the normal NI path), the
@@ -1291,11 +1457,11 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
         created_measured += int(out[3]) - int(g_meas[seeds].sum())
         measured_ejected += int(out[4])
         measured_flits += int(out[5])
-        order = ej_order[:int(out[2])]
-        seg_latencies = (p_eject[order] - g_cycle[g_rows[order]]).tolist()
+        order = run.ej_order[:int(out[2])]
+        seg_latencies = (run.p_eject[order] - g_cycle[g_rows[order]]).tolist()
         latency.extend(seg_latencies)
         latencies.extend(seg_latencies)
-        hops_stats.extend(p_hops[order].tolist())
+        hops_stats.extend(run.p_hops[order].tolist())
         # creation-time drops count only for cycles the loop visited
         cap = stop if stopped else int(out[0])
         counters["dropped"] += sum(1 for c in drop_cycles if c < cap)
@@ -1312,9 +1478,8 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
         if tel is not None:
             segments.append(dict(
                 nodes=nodes, n_seed=n_seed, p_cycle=seg_cycle.tolist(),
-                p_src=cols[1][:n_pkts].tolist(), p_len=cols[3][:n_pkts].tolist(),
-                n_s=int(out[6]), s_cycle=s_cycle, s_inflight=s_inflight,
-                s_occ=s_occ, s_ej=s_ej, ej_out=ej_out, cap=cap,
+                p_src=cols[1].tolist(), p_len=cols[3].tolist(), run=run,
+                cap=cap,
             ))
 
         if not stopped:
@@ -1330,9 +1495,9 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
         degraded = region is not planned
         routing = "cdor"
         keep = _region_arrays(region, routing)[1]
-        alive = np.flatnonzero(p_eject[:n_pkts] < 0)
+        alive = np.flatnonzero(run.p_eject[:n_pkts] < 0)
         survivors = g_rows[alive]
-        started = p_started[alive] != 0
+        started = run.p_started[alive] != 0
         kept = (keep[g_src[survivors]] >= 0) & (keep[g_dest[survivors]] >= 0)
         seeds = survivors[kept]
         counters["retransmitted"] += int(np.count_nonzero(started[kept]))
@@ -1354,7 +1519,7 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
         _emit_faulted_telemetry(
             tel, spec, traffic, segments, reconf_events, first_wu, first_me,
             cycles_run, idle_break, deadline, saturated, created_measured,
-            measured_ejected, measured_flits, counters,
+            measured_ejected, measured_flits, counters, gating,
         )
 
     return SimulationResult(
@@ -1388,7 +1553,7 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
 def _emit_faulted_telemetry(
     tel, spec, traffic, segments, reconf_events, first_wu, first_me,
     cycles_run, idle_break, deadline, saturated, created_measured,
-    measured_ejected, measured_flits, counters,
+    measured_ejected, measured_flits, counters, gating,
 ) -> None:
     """Replay a segmented faulted run's telemetry in reference order.
 
@@ -1400,11 +1565,9 @@ def _emit_faulted_telemetry(
     Samples replay per segment with the cumulative injection/ejection
     maps carried across boundaries, like the reference's live dicts.
     """
-    from repro.noc.backends.reference import _record_sim_metrics
-    from repro.noc.backends.vectorized import _emit_flat_sample
-
     warmup = spec.warmup_cycles
     measure_end = warmup + spec.measure_cycles
+    interval = tel.sample_interval
 
     tracer = tel.tracer
     sim_span = tracer.span(
@@ -1457,15 +1620,16 @@ def _emit_faulted_telemetry(
 
     inj: dict[int, int] = {}
     ej_base: dict[int, int] = {}
+    gated_cycles: dict[int, int] = {}
     for seg in segments:
         nodes = seg["nodes"]
         count = len(nodes)
         p_cycle, p_src, p_len = seg["p_cycle"], seg["p_src"], seg["p_len"]
         n_rows, n_seed = len(p_cycle), seg["n_seed"]
-        s_cycle, s_occ, s_ej = seg["s_cycle"], seg["s_occ"], seg["s_ej"]
+        run = seg["run"]
         ptr = 0
-        for k in range(seg["n_s"]):
-            c = int(s_cycle[k])
+        for k in range(int(run.out[6])):
+            c = int(run.s_cycle[k])
             # the kernel captures before the cycle's queue entries; the
             # reference samples after them, so fold in this instant's
             # rows (re-injected seeds count toward in-flight flits but
@@ -1479,21 +1643,24 @@ def _emit_faulted_telemetry(
                     inj[node] = inj.get(node, 0) + p_len[ptr]
                 ptr += 1
             base = k * count
-            occ_row = [int(x) for x in s_occ[base:base + count]]
+            occ_row = run.s_occ[base:base + count].tolist()
+            ej_row = run.s_ej[base:base + count].tolist()
             ej_map = {
-                nodes[i]: ej_base.get(nodes[i], 0) + int(s_ej[base + i])
+                nodes[i]: ej_base.get(nodes[i], 0) + ej_row[i]
                 for i in range(count)
             }
             _emit_flat_sample(
                 tel, sim_span.id, c, nodes, occ_row,
-                int(seg["s_inflight"][k]) + flits_now, inj, ej_map,
+                int(run.s_inflight[k]) + flits_now, inj, ej_map,
+                run.s_gated[base:base + count].tolist() if gating else None,
+                gated_cycles, interval,
             )
         while ptr < n_rows and p_cycle[ptr] < seg["cap"]:
             if ptr >= n_seed:
                 node = nodes[p_src[ptr]]
                 inj[node] = inj.get(node, 0) + p_len[ptr]
             ptr += 1
-        ej_out = seg["ej_out"]
+        ej_out = run.ej_out
         for i, node in enumerate(nodes):
             if ej_out[i]:
                 ej_base[node] = ej_base.get(node, 0) + int(ej_out[i])
@@ -1501,7 +1668,7 @@ def _emit_faulted_telemetry(
     _record_sim_metrics(
         tel, cycles_run, created_measured,
         {"measured": measured_ejected, "measured_flits": measured_flits},
-        counters, saturated, inj, ej_base, {},
+        counters, saturated, inj, ej_base, gated_cycles,
     )
     phase_span.annotate(end_cycle=cycles_run)
     phase_span.end()
@@ -1514,4 +1681,40 @@ def _emit_faulted_telemetry(
     sim_span.end()
 
 
-__all__ = ["available", "execute"]
+class VectorizedBackend:
+    """The compiled fast path, with the reference engine as its fallback.
+
+    Runs the C kernel when it is available and the run's gating policy is
+    ``None`` or exactly a :class:`TimeoutGatingPolicy` (a subclass may
+    override ``step``, so it takes the reference).  Everything else --
+    no compiler, ``REPRO_NOC_NATIVE=0``, more than ``_MAX_VCS`` virtual
+    channels, a non-zero kernel status, any other policy object -- runs
+    on the reference engine, so results are bit-identical either way.
+    """
+
+    name = "vectorized"
+    capabilities = ALL_CAPABILITIES
+    # backend="auto" picks the supporting backend with the highest rank;
+    # the kernel outruns the reference on everything it covers
+    speed_rank = 10
+
+    def supports(self, spec, *, gating_policy=None, telemetry=None) -> bool:
+        """Every declared capability runs here (or on the fallback)."""
+        return required_capabilities(spec, gating_policy, telemetry) <= self.capabilities
+
+    def run(
+        self, spec: SimulationSpec, *, gating_policy=None, telemetry=None
+    ) -> SimulationResult:
+        check_capabilities(self, spec, gating_policy, telemetry)
+        if (
+            gating_policy is None or type(gating_policy) is TimeoutGatingPolicy
+        ) and available():
+            result = execute(spec, gating_policy, telemetry)
+            if result is not None:
+                return result
+        return ReferenceBackend().run(
+            spec, gating_policy=gating_policy, telemetry=telemetry
+        )
+
+
+__all__ = ["VectorizedBackend", "available", "execute"]

@@ -5,8 +5,8 @@ is the single entry point every caller -- the sweep engine, the CMP model,
 the CLI, the benchmarks -- goes through to run a network simulation.  The
 actual engine is looked up in the backend registry
 (:mod:`repro.noc.backends`) by name: ``"reference"`` is the cycle-accurate
-object-model simulator and the default; ``"vectorized"`` is the flat-array
-fast path.  The spec's declared capability needs (faults, gating,
+object-model simulator and the default; ``"vectorized"`` is the compiled
+C-kernel fast path.  The spec's declared capability needs (faults, gating,
 adaptive routing, telemetry sampling) are checked against the chosen
 backend before the run starts, so a fast path declines what it cannot
 simulate instead of silently mis-simulating it.

@@ -14,6 +14,8 @@ import contextlib
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
@@ -391,8 +393,8 @@ class TestCrossBackendEquivalence:
         assert_identical(ref, fast, "saturated")
 
     def test_python_fallback_agrees(self, monkeypatch):
-        """With the native kernel disabled the pure-Python vectorized path
-        must produce the same bits."""
+        """With the native kernel disabled the vectorized backend runs the
+        reference engine and must produce the same bits."""
         from repro.noc.backends import native
 
         monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
@@ -456,14 +458,21 @@ class TestFullCapabilityEquivalence:
                          f"cross-engine seed={seed}")
 
     @staticmethod
-    def _gated_pair(spec):
+    def _gated_pair(spec, **policy):
         from repro.noc.power_gating import TimeoutGatingPolicy
 
-        ref_policy = TimeoutGatingPolicy(idle_timeout=16)
-        fast_policy = TimeoutGatingPolicy(idle_timeout=16)
+        policy.setdefault("idle_timeout", 16)
+        ref_policy = TimeoutGatingPolicy(**policy)
+        fast_policy = TimeoutGatingPolicy(**policy)
         ref = simulate(spec, gating_policy=ref_policy, backend="reference")
         fast = simulate(spec, gating_policy=fast_policy, backend="vectorized")
         return ref, fast, ref_policy.stats, fast_policy.stats
+
+    def _assert_gated_pair(self, spec, label, **policy):
+        ref, fast, ref_stats, fast_stats = self._gated_pair(spec, **policy)
+        assert_identical(ref, fast, label)
+        assert dataclasses.asdict(ref_stats) == dataclasses.asdict(fast_stats)
+        return ref, ref_stats
 
     @pytest.mark.parametrize("level,rate", [(16, 0.05), (16, 0.30), (9, 0.08)])
     def test_gated_runs_bit_identical(self, level, rate):
@@ -480,6 +489,113 @@ class TestFullCapabilityEquivalence:
         assert ref.reconfigurations == 2
         assert_identical(ref, fast, "gated+faulted")
         assert dataclasses.asdict(ref_stats) == dataclasses.asdict(fast_stats)
+
+    @pytest.mark.parametrize("idle_timeout", [0, 1, 64])
+    def test_gated_timeout_edges(self, idle_timeout):
+        spec = make_spec(level=16, rate=0.02, seed=11)
+        _, stats = self._assert_gated_pair(spec, f"timeout {idle_timeout}",
+                                           idle_timeout=idle_timeout)
+        assert stats.gate_events > 0 and stats.wake_events > 0
+
+    def test_gated_protected_nodes(self):
+        spec = make_spec(level=16, rate=0.05, seed=12)
+        protected = frozenset({0, 5, 10, 15})
+        _, stats = self._assert_gated_pair(spec, "protected", idle_timeout=4,
+                                           protected_nodes=protected)
+        open_stats = self._gated_pair(spec, idle_timeout=4)[2]
+        # protected routers are never gated, so fewer gated router-cycles
+        assert 0 < stats.gated_router_cycles < open_stats.gated_router_cycles
+
+    @pytest.mark.parametrize("routing", ["west_first", "negative_first"])
+    def test_gated_adaptive_routing(self, routing):
+        spec = make_spec(level=16, rate=0.2, seed=13, routing=routing)
+        _, stats = self._assert_gated_pair(spec, f"gated {routing}",
+                                           idle_timeout=8)
+        assert stats.gate_events > 0
+
+    def test_gated_saturated_run_grows_the_horizon(self, monkeypatch):
+        """A saturated gated run outlasts the first traffic horizon, so the
+        kernel reports UNFINISHED and re-runs; the stats of the abandoned
+        invocation must not reach the policy."""
+        from repro.noc.backends import native
+
+        flags = []
+        kernel_run = native._kernel_run
+
+        def spy(*args, **kwargs):
+            run = kernel_run(*args, **kwargs)
+            flags.append(int(run.out[1]))
+            return run
+
+        monkeypatch.setattr(native, "_kernel_run", spy)
+        spec = make_spec(level=16, rate=0.5, pattern="hotspot", seed=1,
+                         routing="xy", warmup=200, measure=400,
+                         drain_cycles=2600)
+        ref, stats = self._assert_gated_pair(spec, "gated saturated",
+                                             idle_timeout=4)
+        assert ref.saturated and stats.gate_events > 0
+        if native.available():
+            assert flags[0] & native._FLAG_UNFINISHED
+            assert not flags[-1] & native._FLAG_UNFINISHED
+
+    def test_reused_policy_accumulates_like_the_reference(self):
+        from repro.noc.power_gating import TimeoutGatingPolicy
+
+        specs = [make_spec(level=16, rate=0.05, seed=seed) for seed in (1, 2)]
+        policies = {}
+        for backend in ("reference", "vectorized"):
+            policy = TimeoutGatingPolicy(idle_timeout=16)
+            results = [simulate(spec, gating_policy=policy, backend=backend)
+                       for spec in specs]
+            policies[backend] = (results, dataclasses.asdict(policy.stats))
+        for ref, fast in zip(policies["reference"][0], policies["vectorized"][0]):
+            assert_identical(ref, fast, "reused policy")
+        assert policies["reference"][1] == policies["vectorized"][1]
+        single = TimeoutGatingPolicy(idle_timeout=16)
+        simulate(specs[0], gating_policy=single, backend="vectorized")
+        assert policies["vectorized"][1]["gate_events"] > single.stats.gate_events
+
+    def test_policy_subclass_runs_on_the_reference(self):
+        """A subclass may override ``step``, so the vectorized backend must
+        hand it to the reference engine rather than run the kernel's rule."""
+        from repro.noc.power_gating import TimeoutGatingPolicy
+
+        class EveryOtherCycle(TimeoutGatingPolicy):
+            def step(self, network):
+                if network.cycle % 2 == 0:
+                    super().step(network)
+
+        spec = make_spec(level=16, rate=0.05, seed=14)
+        ref_policy = EveryOtherCycle(idle_timeout=8)
+        fast_policy = EveryOtherCycle(idle_timeout=8)
+        ref = simulate(spec, gating_policy=ref_policy, backend="reference")
+        fast = simulate(spec, gating_policy=fast_policy, backend="vectorized")
+        assert_identical(ref, fast, "policy subclass")
+        assert dataclasses.asdict(ref_policy.stats) \
+            == dataclasses.asdict(fast_policy.stats)
+        plain = TimeoutGatingPolicy(idle_timeout=8)
+        simulate(spec, gating_policy=plain, backend="vectorized")
+        assert dataclasses.asdict(plain.stats) \
+            != dataclasses.asdict(fast_policy.stats)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        level=st.sampled_from([4, 8, 9, 16]),
+        rate=st.floats(0.0, 0.4),
+        seed=st.integers(0, 2**16),
+        idle_timeout=st.integers(0, 40),
+        data=st.data(),
+    )
+    def test_gated_property(self, level, rate, seed, idle_timeout, data):
+        """Short gated runs over random loads, timeouts and protected
+        subsets agree with the reference, results and stats alike."""
+        nodes = SprintTopology.for_level(4, 4, level).active_nodes
+        protected = data.draw(st.frozensets(st.sampled_from(sorted(nodes))))
+        spec = make_spec(level=level, rate=rate, seed=seed, warmup=50,
+                         measure=150)
+        self._assert_gated_pair(spec, "gated property",
+                                idle_timeout=idle_timeout,
+                                protected_nodes=protected)
 
     def test_faulted_counters_surface_drops(self):
         spec = make_spec(level=16, rate=0.25, seed=5, faults=FaultSchedule(
@@ -517,24 +633,17 @@ class TestSamplingParity:
              faults=FaultSchedule((FaultEvent(cycle=300, node=5),))),
     ]
 
-    @pytest.mark.parametrize("case", SAMPLED_CASES)
-    def test_python_kernel_matches_reference(self, case, monkeypatch):
-        monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
-        spec = make_spec(**case)
-        ref, ref_samples, ref_spans, ref_metrics = self._run(spec, "reference")
-        fast, samples, spans, metrics = self._run(spec, "vectorized")
-        assert_identical(ref, fast, f"sampled {case}")
-        assert ref_samples == samples
-        assert ref_spans == spans
-        assert ref_metrics == metrics
-
-    @pytest.mark.parametrize("case", SAMPLED_CASES)
-    def test_native_kernel_matches_reference(self, case, monkeypatch):
+    @staticmethod
+    def _require_kernel(monkeypatch):
         from repro.noc.backends import native
 
         monkeypatch.delenv("REPRO_NOC_NATIVE", raising=False)
         if not native.available():
             pytest.skip("no C compiler / native kernel disabled")
+
+    @pytest.mark.parametrize("case", SAMPLED_CASES)
+    def test_native_kernel_matches_reference(self, case, monkeypatch):
+        self._require_kernel(monkeypatch)
         spec = make_spec(**case)
         ref, ref_samples, ref_spans, ref_metrics = self._run(spec, "reference")
         fast, samples, spans, metrics = self._run(spec, "vectorized")
@@ -571,7 +680,7 @@ class TestSamplingParity:
             == len(FaultSchedule(events).boundaries())
 
     def test_saturated_sampled_run_agrees(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
+        self._require_kernel(monkeypatch)
         spec = make_spec(level=16, rate=1.8, routing="xy",
                          warmup=200, measure=400, drain_cycles=500)
         ref, ref_samples, _, _ = self._run(spec, "reference")
@@ -579,31 +688,51 @@ class TestSamplingParity:
         assert ref.saturated and fast.saturated
         assert ref_samples == samples
 
-    def test_gated_sampled_run_agrees(self, monkeypatch):
+    @staticmethod
+    def _gated_streams(spec):
+        """Result, samples, metrics, span stream and policy stats of one
+        sampled gated run per backend."""
         from repro.noc.power_gating import TimeoutGatingPolicy
         from repro.telemetry import Telemetry
 
-        monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
-        spec = make_spec(level=16, rate=0.05, seed=3)
         streams = {}
         for backend in ("reference", "vectorized"):
             tel = Telemetry(sample_interval=100)
-            result = simulate(spec, gating_policy=TimeoutGatingPolicy(
-                idle_timeout=16), telemetry=tel, backend=backend)
+            policy = TimeoutGatingPolicy(idle_timeout=16)
+            result = simulate(spec, gating_policy=policy, telemetry=tel,
+                              backend=backend)
             events = tel.tracer.drain()
             streams[backend] = (
                 dataclasses.asdict(result),
                 [e["data"] for e in events if e["ev"] == "sample"],
                 tel.metrics.snapshot(),
+                [(e["name"], {k: v for k, v in e.items()
+                              if k not in ("id", "parent", "ts")})
+                 for e in events if e["ev"] == "begin"],
+                dataclasses.asdict(policy.stats),
             )
         assert streams["reference"] == streams["vectorized"]
+        return streams["reference"]
+
+    def test_gated_sampled_run_agrees(self, monkeypatch):
+        self._require_kernel(monkeypatch)
+        _, samples, _, _, _ = self._gated_streams(
+            make_spec(level=16, rate=0.05, seed=3))
         # gated routers are visible in the sample payloads
         assert any(stats["gated"]
-                   for _, samples, _ in [streams["reference"]]
                    for data in samples for stats in data["routers"].values())
 
+    def test_gated_faulted_sampled_run_agrees(self, monkeypatch):
+        self._require_kernel(monkeypatch)
+        spec = make_spec(level=16, rate=0.05, seed=3, faults=FaultSchedule(
+            (FaultEvent(cycle=300, node=5, duration=300),)))
+        result, samples, metrics, _, _ = self._gated_streams(spec)
+        assert result["reconfigurations"] == 2
+        assert any(row[0] == "noc_router_gated_cycles_total"
+                   for row in metrics["metrics"])
+
     def test_sample_payload_shape(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
+        self._require_kernel(monkeypatch)
         _, samples, _, _ = self._run(make_spec(level=4, rate=0.15), "vectorized")
         assert samples
         for data in samples:

@@ -205,7 +205,8 @@ class TestSweepRunner:
 
     def test_progress_callback_sees_every_point(self):
         seen = []
-        runner = SweepRunner(progress=lambda done, total, point: seen.append((done, total)))
+        runner = SweepRunner(
+            progress=lambda done, total, point, outcome: seen.append((done, total)))
         runner.run([small_spec(rate=r) for r in (0.05, 0.1)])
         assert seen == [(1, 2), (2, 2)]
 
@@ -246,21 +247,6 @@ class TestSystemIntegration:
                                  warmup_cycles=100, measure_cycles=300).network
         assert system.cache.stats().stores == stores  # nothing re-simulated
         assert result_fields(first.sim) == result_fields(second.sim)
-
-    def test_delegates_agree_with_evaluate(self):
-        system = NoCSprintingSystem()
-        report = system.evaluate("dedup", "noc_sprinting")
-        with pytest.warns(DeprecationWarning):
-            assert system.speedup("dedup", "noc_sprinting") == report.speedup
-        with pytest.warns(DeprecationWarning):
-            assert system.core_power("dedup", "noc_sprinting") == report.core_power_w
-        with pytest.warns(DeprecationWarning):
-            assert system.execution_time("dedup", "noc_sprinting") == report.relative_time
-
-    def test_evaluation_report_is_workload_evaluation(self):
-        from repro.core.system import EvaluationReport, WorkloadEvaluation
-
-        assert WorkloadEvaluation is EvaluationReport
 
     def test_simulation_spec_matches_evaluate_network(self):
         system = NoCSprintingSystem()

@@ -427,7 +427,7 @@ class TestResumeAndDrain:
         cache = ResultCache(directory=str(tmp_path / "c"))
         runner = SweepRunner(workers=1, cache=cache)
 
-        def stop_after_first(done, total, point):
+        def stop_after_first(done, total, point, outcome):
             runner.request_stop()
 
         runner.progress = stop_after_first

@@ -403,21 +403,14 @@ class TestProgressOutcomes:
         runner.run(specs)
         assert seen == ["simulated", "simulated", "cached", "cached"]
 
-    def test_legacy_callback_not_called_for_failures(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "raise")
+    def test_callback_receives_four_arguments(self):
         seen = []
         runner = SweepRunner(
-            progress=lambda done, total, point: seen.append(done)
+            progress=lambda done, total, point, outcome:
+                seen.append((done, total, point.index, outcome))
         )
-        report = runner.run([small_spec()])
-        monkeypatch.delenv(CHAOS_ENV)
-        assert not report.ok and seen == []
-
-    def test_var_positional_callback_treated_as_new_style(self):
-        seen = []
-        runner = SweepRunner(progress=lambda *args: seen.append(args))
         runner.run([small_spec()])
-        assert seen[0][3] == "simulated"
+        assert seen == [(1, 1, 0, "simulated")]
 
 
 class TestCacheTelemetry:
