@@ -30,9 +30,8 @@ the declarative :class:`~repro.noc.spec.SimulationSpec` /
 :class:`~repro.noc.spec.TrafficSpec` pair with
 :func:`~repro.noc.sim.run_simulation`, the sweep engine
 (:class:`~repro.exec.SweepRunner`, :class:`~repro.exec.ResultCache`), and
-the simulation-backend registry
-(:func:`~repro.noc.backends.register_backend` /
-:func:`~repro.noc.backends.get_backend` /
+the simulation-engine table
+(:func:`~repro.noc.backends.get_backend` /
 :func:`~repro.noc.backends.list_backends`), the run-history
 observatory (:class:`~repro.telemetry.Ledger`,
 :func:`~repro.telemetry.compare_runs`), and the versioned wire codec
@@ -57,7 +56,7 @@ from repro.core import (
 from repro.core.system import EvaluationReport
 from repro.exec import ResultCache, SweepRunner
 from repro.noc import SimulationSpec, TrafficSpec, run_simulation
-from repro.noc.backends import get_backend, list_backends, register_backend
+from repro.noc.backends import get_backend, list_backends
 from repro.noc.spec import (
     WIRE_VERSION,
     WireFormatError,
@@ -95,8 +94,7 @@ __all__ = [
     "WireFormatError",
     "spec_to_wire",
     "spec_from_wire",
-    # simulation-backend registry
-    "register_backend",
+    # simulation engines
     "get_backend",
     "list_backends",
     # run ledger + cross-run diffing

@@ -17,7 +17,7 @@ Commands map onto the paper's evaluation axes:
 - ``regress --baseline REF`` gate the newest run against a baseline;
   exits 4 on regression (the CI regression observatory)
 - ``cache stats``            counters and on-disk footprint of a result cache
-- ``backends``               the live simulation-backend capability matrix
+- ``backends``               the simulation engines and native-kernel status
 - ``worker --queue DIR``     join a ``sweep --fabric DIR`` run as an external
   lease-based worker (spawnable mid-sweep, survives coordinator churn)
 - ``fabric audit DIR``       replay a fabric queue's event log and verify the
@@ -98,7 +98,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (args.levels or args.rates or args.patterns or args.fault
             or args.resume or args.cache_dir or args.max_retries
             or args.point_timeout is not None or args.trace
-            or args.metrics or args.backend != "reference"
+            or args.metrics or args.backend != "auto"
             or args.ledger_dir or args.ledger_label or args.fabric):
         return _cmd_sweep_grid(args)
     system = NoCSprintingSystem()
@@ -152,7 +152,7 @@ def _parse_fault(text: str):
 
 
 def _grid_specs(levels, rates, patterns, seed, warmup, measure, drain,
-                faults=(), backend="reference"):
+                faults=(), backend="auto"):
     """Build (and eagerly validate) the spec grid for a sweep command."""
     from repro.config import NoCConfig
     from repro.core.topological import SprintTopology
@@ -193,7 +193,7 @@ def _resume_hint(args: argparse.Namespace) -> str:
         parts.append("--rates " + " ".join(f"{v:g}" for v in args.rates))
     if args.patterns:
         parts.append("--patterns " + " ".join(args.patterns))
-    if args.backend != "reference":
+    if args.backend != "auto":
         parts.append(f"--backend {args.backend}")
     if args.workers != 1:
         parts.append(f"--workers {args.workers}")
@@ -227,35 +227,6 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry(sample_interval=args.sample_interval)
-    # validate the backend against each point's needs up front, so an
-    # incompatible combination fails before any worker launches -- and
-    # reports *every* bad point, not just the first, since a partial grid
-    # is usually misconfigured in more than one place
-    from repro.noc.backends import (
-        BackendCapabilityError,
-        check_capabilities,
-        get_backend,
-        resolve_backend,
-    )
-
-    problems = []
-    for spec in specs:
-        try:
-            if args.backend == "auto":
-                resolve_backend(spec, telemetry=telemetry)
-            else:
-                check_capabilities(get_backend(args.backend), spec, None, telemetry)
-        except (BackendCapabilityError, ValueError) as err:
-            problems.append(
-                f"level={spec.topology.level} pattern={spec.traffic.pattern} "
-                f"rate={spec.traffic.injection_rate:g}: {err}"
-            )
-    if problems:
-        for line in problems:
-            print(f"invalid sweep grid: {line}")
-        print(f"invalid sweep grid: {len(problems)} of {len(specs)} points "
-              f"incompatible with backend {args.backend!r}")
-        return 2
     from repro.telemetry import Ledger
 
     fabric_config = None
@@ -489,8 +460,7 @@ def _cmd_duration(args: argparse.Namespace) -> int:
 def _backend_names() -> list[str]:
     from repro.noc.backends import list_backends
 
-    # "auto" is a selection policy, not a registered engine: the fastest
-    # backend whose capabilities cover each run (see resolve_backend)
+    # "auto" is an alias for the fast path, not an engine of its own
     return ["auto", *list_backends()]
 
 
@@ -557,11 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="CYCLES",
                        help="in-simulation sampling period for --trace "
                             "(per-router flits, occupancy; 0 disables)")
-    sweep.add_argument("--backend", default="reference",
+    sweep.add_argument("--backend", default="auto",
                        choices=_backend_names(),
                        help="simulation engine for every point (grid mode; "
-                            "'vectorized' is the fast path, 'auto' picks "
-                            "the fastest engine covering each point)")
+                            "'auto' and 'vectorized' are the fast path, "
+                            "'reference' the slow object-model engine; "
+                            "results are identical)")
     sweep.add_argument("--ledger-dir", default=None, metavar="DIR",
                        help="run-ledger directory (grid mode; default "
                             ".repro/ledger or $REPRO_LEDGER_DIR; "
@@ -727,10 +698,10 @@ def build_parser() -> argparse.ArgumentParser:
                          default=[0.05, 0.15, 0.25, 0.35, 0.5])
     network.add_argument("--seed", type=int, default=0)
     network.add_argument("--workers", type=int, default=1)
-    network.add_argument("--backend", default="reference",
+    network.add_argument("--backend", default="auto",
                          choices=_backend_names(),
                          help="simulation engine for every point ('auto' "
-                              "picks the fastest capable engine)")
+                              "is the fast path)")
 
     thermal = sub.add_parser("thermal", help="heat maps and PCM phases")
     thermal.add_argument("benchmark", nargs="?", default="dedup",
@@ -801,8 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "backends",
-        help="list registered simulation backends, their capabilities and "
-             "native-kernel availability",
+        help="list the simulation engines and native-kernel availability",
     )
 
     figure = sub.add_parser(
@@ -1054,27 +1024,19 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    """Print the live capability matrix of the registered backends."""
-    from repro.noc.backends import get_backend, list_backends
-    from repro.noc.backends import native
+    """Print the simulation engines and the native kernel's status."""
+    from repro.noc.backends import list_backends, native
 
-    rows = []
-    for name in list_backends():
-        backend = get_backend(name)
-        caps = ", ".join(sorted(getattr(backend, "capabilities", frozenset())))
-        kernel = "-"
-        if name == "vectorized":
-            kernel = ("available" if native.available()
-                      else "unavailable (runs the reference engine)")
-        rows.append([name, getattr(backend, "speed_rank", 0), caps, kernel])
+    kernel = ("available" if native.available()
+              else "unavailable (runs the reference engine)")
     print(format_table(
-        ["backend", "speed rank", "capabilities", "native kernel"],
-        rows,
-        title="registered simulation backends",
+        ["backend", "native kernel"],
+        [[name, kernel if name == "vectorized" else "-"]
+         for name in list_backends()],
+        title="simulation backends",
     ))
-    print("backend='auto' (spec, run_simulation, sweep --backend) picks the "
-          "highest-ranked engine whose capabilities cover the run; see "
-          "repro.noc.backends.requirements / supports")
+    print("backend='auto' (the default) runs on 'vectorized'; every engine "
+          "yields bit-identical results under one cache key")
     return 0
 
 
@@ -1129,8 +1091,7 @@ def _service_request(url: str, data: bytes | None = None,
         try:
             return err.code, _json.loads(body)
         except ValueError:
-            return err.code, {"error": {"type": "http", "message": body,
-                                        "missing": [], "alternatives": []}}
+            return err.code, {"error": {"type": "http", "message": body}}
 
 
 def _load_wire_documents(path: str) -> list:

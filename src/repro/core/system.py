@@ -139,11 +139,11 @@ class NoCSprintingSystem:
     cache to reuse results across system instances or give it a directory
     for cross-process persistence.  ``workers`` sets the process fan-out
     for :meth:`sweep` batches (single evaluations always run in-process).
-    ``backend`` names the registered simulation engine every induced
-    :class:`~repro.noc.spec.SimulationSpec` carries (see
-    :mod:`repro.noc.backends`); non-default backends key the cache
-    separately.  ``backend="auto"`` defers to the registry, which picks
-    the fastest engine covering each spec's requirements.
+    ``backend`` names the simulation engine every induced
+    :class:`~repro.noc.spec.SimulationSpec` runs on (see
+    :mod:`repro.noc.backends`); the default ``"auto"`` is the fast path.
+    Every engine yields bit-identical results, so the choice never
+    changes a cache key.
     """
 
     def __init__(
@@ -154,7 +154,7 @@ class NoCSprintingSystem:
         seed: int = 0,
         cache: ResultCache | None = None,
         workers: int = 1,
-        backend: str = "reference",
+        backend: str = "auto",
         ledger: Ledger | None = None,
     ):
         self.config = config or default_config()
@@ -313,9 +313,7 @@ class NoCSprintingSystem:
             cpu_s=cpu_s,
             points=points,
             headline=headline,
-            fingerprint=stable_key(
-                (report.benchmark, report.scheme, self.backend)
-            ),
+            fingerprint=stable_key((report.benchmark, report.scheme)),
         )
 
     # ------------------------------------------------------------------

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.exec.cache import CacheStats, ResultCache
+from repro.noc.backends import resolve_backend
 from repro.noc.sim import SimulationResult, simulate
 from repro.noc.spec import SimulationSpec, stable_key
 from repro.telemetry import Telemetry, TelemetryContext
@@ -600,9 +601,8 @@ class SweepRunner:
                 values = [m[metric] for m in point_payload.values()]
                 headline[metric] = sum(values) / len(values)
         headline["failures"] = float(len(report.failures))
-        # record the *resolved* engine so ledger entries for backend="auto"
-        # runs are unambiguous about what actually executed them
-        backends = {spec.resolved_backend() for spec in specs}
+        # record the engine, not the "auto" alias, that executed the runs
+        backends = {resolve_backend(spec).name for spec in specs}
         return self.ledger.record(
             self.ledger_kind,
             label=self.ledger_label,

@@ -6,13 +6,7 @@ and router power gating.
 """
 
 from repro.noc.activity import NetworkActivity, RouterActivity
-from repro.noc.backends import (
-    BackendCapabilityError,
-    SimBackend,
-    get_backend,
-    list_backends,
-    register_backend,
-)
+from repro.noc.backends import get_backend, list_backends
 from repro.noc.flit import Flit, Packet, make_flits
 from repro.noc.network import Network, Router
 from repro.noc.power_gating import (
@@ -32,11 +26,8 @@ from repro.noc.traffic import TrafficGenerator
 __all__ = [
     "NetworkActivity",
     "RouterActivity",
-    "BackendCapabilityError",
-    "SimBackend",
     "get_backend",
     "list_backends",
-    "register_backend",
     "Flit",
     "Packet",
     "make_flits",

@@ -15,7 +15,8 @@ so concurrent sweep workers never observe a half-written library.  When
 no compiler is available, compilation fails, or ``REPRO_NOC_NATIVE=0``
 disables the path, :func:`available` returns False and
 :class:`VectorizedBackend` runs the reference engine instead -- same
-results, just slower.
+results, just slower.  This is the engine ``backend="auto"``, the
+default everywhere, runs on.
 
 Division of labour with the Python driver:
 
@@ -73,11 +74,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.noc.activity import NetworkActivity
-from repro.noc.backends.base import (
-    ALL_CAPABILITIES,
-    check_capabilities,
-    required_capabilities,
-)
 from repro.noc.backends.reference import ReferenceBackend, _record_sim_metrics
 from repro.noc.power_gating import TimeoutGatingPolicy
 from repro.noc.result import SimulationResult
@@ -1693,19 +1689,10 @@ class VectorizedBackend:
     """
 
     name = "vectorized"
-    capabilities = ALL_CAPABILITIES
-    # backend="auto" picks the supporting backend with the highest rank;
-    # the kernel outruns the reference on everything it covers
-    speed_rank = 10
-
-    def supports(self, spec, *, gating_policy=None, telemetry=None) -> bool:
-        """Every declared capability runs here (or on the fallback)."""
-        return required_capabilities(spec, gating_policy, telemetry) <= self.capabilities
 
     def run(
         self, spec: SimulationSpec, *, gating_policy=None, telemetry=None
     ) -> SimulationResult:
-        check_capabilities(self, spec, gating_policy, telemetry)
         if (
             gating_policy is None or type(gating_policy) is TimeoutGatingPolicy
         ) and available():

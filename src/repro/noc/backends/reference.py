@@ -1,11 +1,10 @@
 """The cycle-accurate reference backend.
 
 This is the original warmup / measure / drain driver from
-:mod:`repro.noc.sim`, moved verbatim behind the
-:class:`~repro.noc.backends.base.SimBackend` protocol: it steps live
-:class:`~repro.noc.network.Network` routers one cycle at a time and is
-the semantic ground truth every other backend is validated against
-(``tests/test_backends.py`` holds the cross-backend equivalence suite).
+:mod:`repro.noc.sim`: it steps live :class:`~repro.noc.network.Network`
+routers one cycle at a time and is the semantic ground truth the fast
+path is validated against (``tests/test_backends.py`` holds the
+cross-backend equivalence suite).
 
 Follows the standard booksim methodology: the network warms up for
 ``warmup_cycles``, every packet created during the next ``measure_cycles``
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
-from repro.noc.backends.base import ALL_CAPABILITIES, required_capabilities
 from repro.noc.network import Network
 from repro.noc.result import SimulationResult
 from repro.noc.routing import build_table
@@ -31,17 +29,9 @@ from repro.util.stats import RunningStats, percentile
 
 
 class ReferenceBackend:
-    """Cycle-accurate simulation of live Router objects (the default)."""
+    """Cycle-accurate simulation of live Router objects."""
 
     name = "reference"
-    capabilities = ALL_CAPABILITIES
-    # backend="auto" picks the supporting backend with the highest rank;
-    # the reference engine is the universal (slowest) floor at 0
-    speed_rank = 0
-
-    def supports(self, spec, *, gating_policy=None, telemetry=None) -> bool:
-        """The reference engine simulates every declared capability."""
-        return required_capabilities(spec, gating_policy, telemetry) <= self.capabilities
 
     def run(
         self, spec: SimulationSpec, *, gating_policy=None, telemetry=None

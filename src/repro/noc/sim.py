@@ -1,15 +1,12 @@
-"""Simulation facade: spec in, result out, backend-pluggable.
+"""Simulation facade: spec in, result out.
 
 :func:`simulate` (and its keyword-friendly wrapper :func:`run_simulation`)
 is the single entry point every caller -- the sweep engine, the CMP model,
 the CLI, the benchmarks -- goes through to run a network simulation.  The
-actual engine is looked up in the backend registry
-(:mod:`repro.noc.backends`) by name: ``"reference"`` is the cycle-accurate
-object-model simulator and the default; ``"vectorized"`` is the compiled
-C-kernel fast path.  The spec's declared capability needs (faults, gating,
-adaptive routing, telemetry sampling) are checked against the chosen
-backend before the run starts, so a fast path declines what it cannot
-simulate instead of silently mis-simulating it.
+engine is picked by name from :mod:`repro.noc.backends`: ``"auto"`` (the
+default) and ``"vectorized"`` run the compiled C-kernel fast path,
+``"reference"`` the cycle-accurate object-model simulator.  Both produce
+bit-identical results, so the name only decides how fast a run goes.
 
 The warmup / measure / drain methodology itself lives with the backends
 (see :mod:`repro.noc.backends.reference`); :class:`SimulationResult` is
@@ -21,7 +18,7 @@ from __future__ import annotations
 
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
-from repro.noc.backends import check_capabilities, get_backend
+from repro.noc.backends import get_backend
 from repro.noc.result import SimulationResult
 from repro.noc.spec import SimulationSpec, stable_key
 from repro.noc.traffic import TrafficGenerator
@@ -45,32 +42,15 @@ def simulate(
     spec yields bit-identical results in any process, which is what lets
     the sweep engine (:mod:`repro.exec`) parallelize and cache runs.
 
-    ``backend`` overrides the spec's ``backend`` field for this call (the
-    spec field is what the result cache keys on; the override is for
-    callers that own their caching, like the equivalence tests).  The
-    chosen engine's declared capabilities are checked against what the
-    run needs -- a :class:`~repro.noc.backends.BackendCapabilityError`
-    explains any mismatch.
+    ``backend`` overrides the spec's ``backend`` hint for this call (for
+    callers that own their caching, like the equivalence tests).
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`, optional) records
     phase spans, periodic per-router samples and run counters; it never
     influences the simulation itself, so results stay bit-identical with
     telemetry on, off, or absent.
-
-    ``backend="auto"`` (in the spec or the override) picks the fastest
-    registered backend whose capabilities cover this run, via
-    :func:`repro.noc.backends.resolve_backend`.
     """
-    name = backend if backend is not None else spec.backend
-    if name == "auto":
-        from repro.noc.backends import resolve_backend
-
-        engine = resolve_backend(
-            spec, gating_policy=gating_policy, telemetry=telemetry
-        )
-    else:
-        engine = get_backend(name)
-        check_capabilities(engine, spec, gating_policy, telemetry)
+    engine = get_backend(backend if backend is not None else spec.backend)
     return engine.run(spec, gating_policy=gating_policy, telemetry=telemetry)
 
 
@@ -91,7 +71,7 @@ def run_simulation(
 
     Preferred form: ``run_simulation(spec)`` with a single
     :class:`~repro.noc.spec.SimulationSpec` (see :func:`simulate`), where
-    ``backend=`` selects the simulation engine by registry name.  The
+    ``backend=`` selects the simulation engine by name.  The
     keyword form below is retained as a thin back-compat wrapper and may be
     deprecated in a future release; it takes a live
     :class:`~repro.noc.traffic.TrafficGenerator`, whose consumed RNG state
@@ -149,7 +129,6 @@ def zero_load_latency(
     topology: SprintTopology,
     config: NoCConfig | None = None,
     routing: str = "cdor",
-    backend: str = "reference",
 ) -> float:
     """Analytic zero-load packet latency averaged over all endpoint pairs.
 
@@ -158,22 +137,14 @@ def zero_load_latency(
     Used by the CMP performance model as its communication-cost proxy when
     no cycle simulation is attached.
 
-    The O(n^2) pair walk is memoized per (backend, topology, config,
-    routing) in a process-wide :class:`~repro.exec.cache.ResultCache`:
-    callers in hot loops (the performance model evaluates this per workload
-    per scheme) pay for each distinct topology once.  The backend is part
-    of the memo key (with the default keeping its historical key) so a
-    backend with its own zero-load model can never serve, or be served,
-    another backend's entries.
+    The O(n^2) pair walk is memoized per (topology, config, routing) in a
+    process-wide :class:`~repro.exec.cache.ResultCache`: callers in hot
+    loops (the performance model evaluates this per workload per scheme)
+    pay for each distinct topology once.
     """
     cfg = config or NoCConfig()
     cache = zero_load_cache()
-    if backend == "reference":
-        # historical key shape: entries memoized before backends existed
-        # stay valid for the default engine
-        key = stable_key(("zero_load_latency", topology, cfg, routing))
-    else:
-        key = stable_key(("zero_load_latency", backend, topology, cfg, routing))
+    key = stable_key(("zero_load_latency", topology, cfg, routing))
     cached = cache.get(key)
     if cached is not None:
         return cached

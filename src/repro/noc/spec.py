@@ -39,6 +39,10 @@ def _canonical(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         payload = {}
         for f in dataclasses.fields(obj):
+            # only fields that take part in equality describe the value;
+            # compare=False fields (execution hints) never reach a key
+            if not f.compare:
+                continue
             value = getattr(obj, f.name)
             # Fields marked `omit_when_default` vanish from the canonical
             # form while they hold their default value, so adding such a
@@ -73,21 +77,27 @@ def stable_key(obj) -> str:
 # ----------------------------------------------------------------------
 # the versioned wire format (the repro.service / `repro serve` contract)
 # ----------------------------------------------------------------------
-#: Wire-format schema version.  The v1 body is *pinned bit-for-bit* to the
-#: omit-when-default canonical form that cache keys and ledger records are
-#: hashed from, so a spec that round-trips through the wire keeps the
-#: exact cache key it had in-process.  Any change to the canonicalization
-#: is therefore a wire-format break and must bump this number.
-WIRE_VERSION = 1
+#: Wire-format schema version.  The body is *pinned bit-for-bit* to the
+#: canonical form that cache keys and ledger records are hashed from, so a
+#: spec that round-trips through the wire keeps the exact cache key it had
+#: in-process.  Any change to the canonicalization is therefore a
+#: wire-format break and must bump this number.  v2 bodies never carry the
+#: ``backend`` execution hint; v1 bodies (which named a non-default
+#: backend) still decode, and a ``backend`` field in either version is
+#: taken as the hint.
+WIRE_VERSION = 2
+
+#: Every version :func:`spec_from_wire` decodes.
+_READABLE_WIRE_VERSIONS = (1, WIRE_VERSION)
+
+#: The names ``SimulationSpec.backend`` accepts (see repro.noc.backends).
+_BACKEND_NAMES = ("auto", "reference", "vectorized")
 
 
 class WireFormatError(ValueError):
     """A wire payload could not be decoded into a spec.
 
-    Carries the same structured payload shape as
-    :class:`~repro.noc.backends.BackendCapabilityError` (``type`` /
-    ``message`` plus optional detail lists), so HTTP clients can branch on
-    one error schema.  ``code`` distinguishes the failure classes:
+    ``code`` distinguishes the failure classes:
     ``"version"`` (unknown/unsupported ``v``), ``"schema"`` (malformed or
     drifted payload shape) and ``"value"`` (well-formed payload whose
     values fail spec validation).
@@ -154,7 +164,8 @@ def spec_to_wire(spec: "SimulationSpec") -> dict:
     """Encode a spec as a version-tagged, JSON-ready wire document.
 
     The ``"spec"`` body is exactly the canonical form :func:`stable_key`
-    hashes (omit-when-default fields vanish at their defaults), so
+    hashes (omit-when-default fields vanish at their defaults, the
+    ``backend`` hint always), so
     ``spec_from_wire(spec_to_wire(s)).cache_key() == s.cache_key()`` by
     construction -- a spec submitted over HTTP hits the same cache and
     ledger entries as the in-process original.
@@ -174,10 +185,10 @@ def spec_from_wire(payload) -> "SimulationSpec":
     if not isinstance(payload, dict):
         raise WireFormatError("wire payload must be a JSON object")
     version = payload.get("v")
-    if version != WIRE_VERSION:
+    if version not in _READABLE_WIRE_VERSIONS:
         raise WireFormatError(
-            f"unsupported wire version {version!r} (this build speaks "
-            f"v{WIRE_VERSION})", code="version",
+            f"unsupported wire version {version!r} (this build reads "
+            f"v1 and v{WIRE_VERSION})", code="version",
         )
     kind = payload.get("kind", "simulation_spec")
     if kind != "simulation_spec":
@@ -329,20 +340,19 @@ class SimulationSpec:
     faults: FaultSchedule = field(
         default_factory=FaultSchedule, metadata={"omit_when_default": True}
     )
-    # which registered simulation engine executes the run (see
-    # repro.noc.backends).  Omitted from the canonical form at its default,
-    # so every pre-existing cache key is preserved; a non-default backend
-    # keys separately, as two engines are only *required* to agree on the
-    # feature set both support.  The sentinel "auto" defers the choice to
-    # the registry (fastest backend covering the spec's requirements) and
-    # canonicalizes to the *resolved* name in cache keys.
-    backend: str = field(default="reference", metadata={"omit_when_default": True})
+    # which engine executes the run (see repro.noc.backends).  Every
+    # engine produces bit-identical results, so this is an execution hint:
+    # it takes no part in equality, hashing, cache keys or the wire body.
+    backend: str = field(default="auto", compare=False)
 
     def __post_init__(self) -> None:
         if self.warmup_cycles < 0 or self.measure_cycles < 1 or self.drain_cycles < 0:
             raise ValueError("simulation windows must be non-negative (measure >= 1)")
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ValueError("backend must be a non-empty backend name")
+        if self.backend not in _BACKEND_NAMES:
+            raise ValueError(
+                f"unknown simulation backend {self.backend!r}; expected one "
+                f"of: {', '.join(_BACKEND_NAMES)}"
+            )
         for node in self.traffic.endpoints:
             if not self.topology.is_active(node):
                 raise ValueError(f"traffic endpoint {node} is dark in this topology")
@@ -374,35 +384,13 @@ class SimulationSpec:
                 if abs(ca.x - cb.x) + abs(ca.y - cb.y) != 1:
                     raise ValueError(f"fault link {event.link} is not a mesh link")
 
-    def resolved_backend(self) -> str:
-        """The concrete engine name this spec will execute on.
-
-        Explicit backends resolve to themselves; ``"auto"`` asks the
-        registry for the fastest backend whose declared capabilities
-        cover this spec's requirements (the public
-        :func:`repro.noc.backends.requirements` /
-        :func:`repro.noc.backends.supports` API).
-        """
-        if self.backend != "auto":
-            return self.backend
-        from repro.noc.backends import resolve_backend
-
-        return resolve_backend(self).name
-
     def cache_key(self) -> str:
         """Canonical content hash of the full run description.
 
-        ``backend="auto"`` hashes as the *resolved* engine name, so cache
-        entries and ledger records are unambiguous about which engine
-        produced them -- and an auto spec that resolves to the default
-        engine shares the default spec's key (backends that agree bit-for-
-        bit may share results; the omit-when-default rule already makes
-        the explicit default and the omitted field identical).
+        The ``backend`` hint is not part of it: the reference, vectorized
+        and auto variants of one run share a key (and a cache entry).
         """
-        spec = self
-        if self.backend == "auto":
-            spec = dataclasses.replace(self, backend=self.resolved_backend())
-        return stable_key(("simulate", spec))
+        return stable_key(("simulate", self))
 
     def with_seed(self, seed: int) -> "SimulationSpec":
         """The same run under a different traffic seed."""

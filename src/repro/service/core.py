@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 from repro.exec.cache import ResultCache
 from repro.exec.runner import SweepRunner
-from repro.noc.backends import check_capabilities, get_backend
 from repro.noc.spec import SimulationSpec, WireFormatError, spec_from_wire
 from repro.service.budget import (
     CLOCK_HZ,
@@ -156,18 +155,15 @@ class ExperimentService:
     def decode(self, payload) -> SimulationSpec:
         """Wire document -> validated spec (raises on any malformation).
 
-        Capability validation happens here, eagerly, so an impossible
-        spec is refused at the front door with the structured
-        :class:`~repro.noc.backends.BackendCapabilityError` payload --
-        not hours later inside a worker process.
+        Validation happens here, eagerly, so an impossible spec (an
+        unknown backend name included) is refused at the front door --
+        not later inside a worker process.
         """
         try:
-            spec = spec_from_wire(payload)
+            return spec_from_wire(payload)
         except WireFormatError:
             self._count("service_wire_errors_total")
             raise
-        check_capabilities(get_backend(spec.resolved_backend()), spec)
-        return spec
 
     def submit(self, payloads, client: str = "anonymous") -> SweepTicket:
         """Admit and dispatch one batch of wire-format specs.

@@ -2,13 +2,12 @@
 
 Stdlib ``http.server`` only, the same zero-dependency approach as the
 watch plane's :class:`~repro.telemetry.live.MetricsServer`.  JSON in,
-JSON out; every error response carries one structured shape -- the same
-payload fields as :class:`~repro.noc.backends.BackendCapabilityError`::
+JSON out; every error response carries one structured shape::
 
-    {"error": {"type": ..., "message": ..., "missing": [...],
-               "alternatives": [...]}}
+    {"error": {"type": ..., "message": ...}}
 
-so a client can branch on ``type`` without parsing prose.  Endpoints:
+plus type-specific detail fields, so a client can branch on ``type``
+without parsing prose.  Endpoints:
 
 ==========================  ===================================================
 ``POST /v1/evaluate``       submit one spec; blocks up to ``wait_s`` for the
@@ -32,7 +31,6 @@ from __future__ import annotations
 import json
 import threading
 
-from repro.noc.backends import BackendCapabilityError
 from repro.noc.spec import WireFormatError
 from repro.service.budget import BudgetExhausted, RateLimited
 from repro.service.core import ExperimentService
@@ -47,26 +45,8 @@ CLIENT_HEADER = "X-Repro-Client"
 
 
 def error_payload(err: Exception) -> tuple[int, dict]:
-    """(HTTP status, structured body) for every refusal the API issues.
-
-    One shape for every error type -- ``missing`` and ``alternatives``
-    are meaningful for capability refusals and empty otherwise, exactly
-    the fields :class:`BackendCapabilityError` carries in-process.
-    """
-    body = {
-        "type": "error",
-        "message": str(err),
-        "missing": [],
-        "alternatives": [],
-    }
-    if isinstance(err, BackendCapabilityError):
-        body.update(
-            type="backend_capability",
-            missing=sorted(err.missing),
-            alternatives=list(err.alternatives),
-            backend=err.backend,
-        )
-        return 400, body
+    """(HTTP status, structured body) for every refusal the API issues."""
+    body = {"type": "error", "message": str(err)}
     if isinstance(err, WireFormatError):
         body.update(type="wire_format", code=err.code)
         return 400, body
@@ -141,7 +121,6 @@ class ExperimentServer:
                     self._send_json(413, {"error": {
                         "type": "too_large",
                         "message": f"body exceeds {MAX_BODY_BYTES} bytes",
-                        "missing": [], "alternatives": [],
                     }})
                     return None
                 raw = self.rfile.read(length) if length else b""
@@ -151,7 +130,6 @@ class ExperimentServer:
                     self._send_json(400, {"error": {
                         "type": "bad_json",
                         "message": "request body is not valid JSON",
-                        "missing": [], "alternatives": [],
                     }})
                     return None
 
@@ -205,7 +183,6 @@ class ExperimentServer:
                 self._send_json(405, {"error": {
                     "type": "method_not_allowed",
                     "message": "only GET and POST are supported",
-                    "missing": [], "alternatives": [],
                 }})
 
             do_DELETE = do_PUT
@@ -234,8 +211,7 @@ class ExperimentServer:
     @staticmethod
     def _not_found(path: str) -> dict:
         return {"error": {"type": "not_found",
-                          "message": f"no such endpoint: {path or '/'}",
-                          "missing": [], "alternatives": []}}
+                          "message": f"no such endpoint: {path or '/'}"}}
 
     def _post_evaluate(self, handler, payload) -> None:
         # accept a bare wire document or an {"spec": ..., "wait_s": ...}
@@ -263,7 +239,7 @@ class ExperimentServer:
             handler._send_json(500, {"error": {
                 "type": "simulation_failed",
                 "message": self.service.error(key) or "simulation failed",
-                "missing": [], "alternatives": [], "key": key,
+                "key": key,
             }})
             return
         handler._send_json(202, {
@@ -305,7 +281,7 @@ class ExperimentServer:
             handler._send_json(500, {"error": {
                 "type": "simulation_failed",
                 "message": self.service.error(key) or "simulation failed",
-                "missing": [], "alternatives": [], "key": key,
+                "key": key,
             }})
             return
         record = self.service.ledger_lookup(key)
@@ -319,7 +295,7 @@ class ExperimentServer:
             return
         handler._send_json(404, {"error": {
             "type": "not_found", "message": f"unknown result key {key}",
-            "missing": [], "alternatives": [], "key": key,
+            "key": key,
         }})
 
     def _get_run(self, handler, ref: str) -> None:

@@ -1,16 +1,14 @@
-"""Tests for the pluggable simulation-backend registry and its engines.
+"""Tests for the two simulation engines and their selection by name.
 
-Covers the registry contract (register / look up / list), the capability
-model that lets a limited engine decline runs it cannot simulate, the
-``backend="auto"`` selection API built on :func:`requirements` /
-:func:`supports`, cache-key stability across the backend field's
-introduction, and -- most importantly -- cross-backend equivalence: the
-vectorized engine must be *bit-identical* to the reference simulator on
-every capability, fault schedules, gating policies and adaptive routing
-included.
+Covers the fixed engine table (look up / list / the ``"auto"`` alias),
+the ``backend`` field as an execution hint outside result identity (the
+reference, vectorized and auto variants of one run compare equal and
+share one cache key and cache entry), and -- most importantly --
+cross-backend equivalence: the vectorized engine must be *bit-identical*
+to the reference simulator on every run, fault schedules, gating
+policies, adaptive routing and telemetry included.
 """
 
-import contextlib
 import dataclasses
 
 import pytest
@@ -19,33 +17,20 @@ from hypothesis import strategies as st
 
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
+from repro.exec import ResultCache, SweepRunner
 from repro.noc.backends import (
-    ALL_CAPABILITIES,
-    CAP_ADAPTIVE_ROUTING,
-    CAP_FAULTS,
-    CAP_GATING,
-    CAP_SAMPLING,
-    CAP_TRACING,
-    BackendCapabilityError,
     ReferenceBackend,
-    SimBackend,
     VectorizedBackend,
-    check_capabilities,
     get_backend,
     list_backends,
-    register_backend,
-    required_capabilities,
-    requirements,
     resolve_backend,
-    supports,
 )
-from repro.noc.sim import simulate, run_simulation, zero_load_cache, zero_load_latency
+from repro.noc.sim import simulate, run_simulation
 from repro.noc.spec import (
     FaultEvent,
     FaultSchedule,
     SimulationSpec,
     TrafficSpec,
-    stable_key,
 )
 
 CFG = NoCConfig()
@@ -60,201 +45,51 @@ def make_spec(level=4, rate=0.1, pattern="uniform", seed=0, routing="cdor",
                           warmup_cycles=warmup, measure_cycles=measure, **kwargs)
 
 
-@contextlib.contextmanager
-def scratch_backend(name="limited", capabilities=frozenset({CAP_TRACING,
-                                                            CAP_SAMPLING}),
-                    speed_rank=50):
-    """Register a throwaway backend (delegates to the reference engine)."""
-    from repro.noc.backends.base import _REGISTRY
-
-    class Scratch:
-        def __init__(self):
-            self.name = name
-            self.capabilities = capabilities
-            self.speed_rank = speed_rank
-
-        def run(self, spec, *, gating_policy=None, telemetry=None):
-            check_capabilities(self, spec, gating_policy, telemetry)
-            return get_backend("reference").run(
-                spec, gating_policy=gating_policy, telemetry=telemetry)
-
-    backend = register_backend(Scratch())
-    try:
-        yield backend
-    finally:
-        _REGISTRY.pop(name, None)
-
-
 class TestRegistry:
+    """The fixed engine table behind every backend name."""
+
     def test_builtins_are_registered(self):
-        names = list_backends()
-        assert "reference" in names and "vectorized" in names
-        assert names == tuple(sorted(names))
+        assert list_backends() == ("reference", "vectorized")
 
     def test_lookup_returns_declared_engines(self):
         assert isinstance(get_backend("reference"), ReferenceBackend)
         assert isinstance(get_backend("vectorized"), VectorizedBackend)
-
-    def test_engines_satisfy_the_protocol(self):
-        for name in list_backends():
-            assert isinstance(get_backend(name), SimBackend)
+        assert get_backend("auto") is get_backend("vectorized")
 
     def test_unknown_name_lists_alternatives(self):
         with pytest.raises(ValueError, match="vectorized"):
             get_backend("gpu")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(ReferenceBackend())
-
-    def test_replace_swaps_and_restores(self):
-        original = get_backend("vectorized")
-        try:
-            swapped = register_backend(VectorizedBackend(), replace=True)
-            assert get_backend("vectorized") is swapped
-            assert swapped is not original
-        finally:
-            register_backend(original, replace=True)
-
-    def test_malformed_backends_rejected(self):
-        class NoName:
-            capabilities = frozenset()
-            def run(self, spec, **kw): ...
-
-        class NoRun:
-            name = "norun"
-            capabilities = frozenset()
-
-        class BadCaps:
-            name = "badcaps"
-            capabilities = ["faults"]
-            def run(self, spec, **kw): ...
-
-        with pytest.raises(ValueError, match="name"):
-            register_backend(NoName())
-        with pytest.raises(ValueError, match="run"):
-            register_backend(NoRun())
-        with pytest.raises(ValueError, match="capabilities"):
-            register_backend(BadCaps())
-
-    def test_declared_capability_sets(self):
-        # both built-in engines now cover the full feature set; capability
-        # checks exist for third-party backends that do not
-        assert get_backend("reference").capabilities == ALL_CAPABILITIES
-        assert get_backend("vectorized").capabilities == ALL_CAPABILITIES
-
-
-class TestCapabilities:
-    def test_plain_spec_needs_nothing(self):
-        assert required_capabilities(make_spec()) == frozenset()
-
-    def test_faulty_spec_needs_faults(self):
-        spec = make_spec(level=16, faults=FaultSchedule(
-            (FaultEvent(cycle=100, node=5),)))
-        assert CAP_FAULTS in required_capabilities(spec)
-
-    def test_adaptive_routing_flagged(self):
-        spec = make_spec(level=16, routing="west_first")
-        assert CAP_ADAPTIVE_ROUTING in required_capabilities(spec)
-
-    def test_gating_policy_flagged(self):
-        need = required_capabilities(make_spec(), gating_policy=object())
-        assert CAP_GATING in need
-
-    def test_telemetry_needs_tracing_and_sampling(self):
-        from repro.telemetry import Telemetry
-
-        tracing = required_capabilities(make_spec(), telemetry=Telemetry())
-        assert CAP_TRACING in tracing and CAP_SAMPLING not in tracing
-        sampling = required_capabilities(
-            make_spec(), telemetry=Telemetry(sample_interval=50))
-        assert CAP_SAMPLING in sampling
-
-    def test_vectorized_accepts_full_capability_runs(self):
-        engine = get_backend("vectorized")
-        faulted = make_spec(level=16, faults=FaultSchedule(
-            (FaultEvent(cycle=100, node=5),)))
-        check_capabilities(engine, faulted, gating_policy=object())
-        check_capabilities(engine, make_spec(level=16, routing="negative_first"))
-
-    def test_limited_backend_declines_with_structured_payload(self):
-        spec = make_spec(level=16, faults=FaultSchedule(
-            (FaultEvent(cycle=100, node=5),)))
-        with scratch_backend() as backend:
-            with pytest.raises(BackendCapabilityError) as excinfo:
-                check_capabilities(backend, spec, gating_policy=object())
-        err = excinfo.value
-        assert err.backend == backend.name
-        assert err.missing == frozenset({CAP_FAULTS, CAP_GATING})
-        # both capable engines are offered as alternatives, plus the hint
-        assert set(err.alternatives) >= {"reference", "vectorized"}
-        assert "backend='auto'" in str(err)
-
-    def test_supports_uses_declared_capabilities(self):
-        spec = make_spec(level=16, routing="west_first")
-        assert supports(get_backend("vectorized"), spec)
-        assert supports(get_backend("reference"), spec)
-        with scratch_backend() as backend:
-            assert not supports(backend, spec)
-            assert supports(backend, make_spec())
-
-    def test_requirements_public_api(self):
-        spec = make_spec(level=16, faults=FaultSchedule(
-            (FaultEvent(cycle=100, node=5),)))
-        need = requirements(spec, gating_policy=object())
-        assert need == frozenset({CAP_FAULTS, CAP_GATING})
-        adaptive = requirements(make_spec(level=16, routing="west_first"))
-        assert adaptive == frozenset({CAP_ADAPTIVE_ROUTING})
-        assert requirements(make_spec()) == frozenset()
-
-    def test_vectorized_accepts_sampling(self):
-        from repro.telemetry import Telemetry
-
-        engine = get_backend("vectorized")
-        check_capabilities(engine, make_spec(),
-                           telemetry=Telemetry(sample_interval=25))
-
-    def test_sampling_refusal_keeps_its_hint(self):
-        """A backend without the capability still gets the guidance."""
-        from repro.telemetry import Telemetry
-
-        class NoSampling:
-            name = "nosampling"
-            capabilities = frozenset({CAP_TRACING})
-            def run(self, spec, **kw): ...
-
-        with pytest.raises(BackendCapabilityError, match="sample_interval"):
-            check_capabilities(NoSampling(), make_spec(),
-                               telemetry=Telemetry(sample_interval=25))
-
-    def test_error_carries_structured_fields(self):
-        err = BackendCapabilityError("vectorized", frozenset({CAP_FAULTS}))
-        assert err.backend == "vectorized"
-        assert err.missing == frozenset({CAP_FAULTS})
-        assert isinstance(err, ValueError)
-
-    def test_reference_accepts_everything(self):
-        engine = get_backend("reference")
-        spec = make_spec(level=16, faults=FaultSchedule(
-            (FaultEvent(cycle=100, node=5),)))
-        check_capabilities(engine, spec, gating_policy=object())
-
 
 class TestCacheKeys:
-    """Adding the backend field must not invalidate pre-existing caches."""
+    """The backend is an execution hint: it never reaches result identity."""
 
     def test_default_backend_absent_from_canonical_form(self):
         from repro.noc.spec import _canonical
 
-        payload = _canonical(make_spec())
-        assert "backend" not in payload
-        assert "backend" in _canonical(make_spec(backend="vectorized"))
+        for backend in ("auto", "reference", "vectorized"):
+            assert "backend" not in _canonical(make_spec(backend=backend))
 
     def test_default_and_explicit_reference_share_a_key(self):
         assert make_spec().cache_key() == make_spec(backend="reference").cache_key()
 
+    def test_backend_variants_share_one_identity(self):
+        variants = [make_spec(level=8, rate=0.15, seed=4, backend=backend)
+                    for backend in ("reference", "vectorized", "auto")]
+        assert variants[0] == variants[1] == variants[2]
+        assert len({hash(spec) for spec in variants}) == 1
+        # one shared cache entry: the second engine's run is a cache hit
+        cache = ResultCache()
+        first = SweepRunner(cache=cache).run([variants[0]]).points[0]
+        second = SweepRunner(cache=cache).run([variants[1]]).points[0]
+        assert not first.cached and second.cached
+        assert second.result == first.result
+
     def test_non_default_backend_keys_separately(self):
-        assert make_spec().cache_key() != make_spec(backend="vectorized").cache_key()
+        # a non-default engine no longer keys separately: one key per run
+        assert make_spec().cache_key() == make_spec(backend="vectorized").cache_key()
+        assert (make_spec(backend="reference").cache_key()
+                == make_spec(backend="vectorized").cache_key())
 
     def test_with_backend_round_trip(self):
         spec = make_spec()
@@ -263,74 +98,40 @@ class TestCacheKeys:
         assert fast.with_backend("reference").cache_key() == spec.cache_key()
 
     def test_empty_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            make_spec(backend="")
-
-    def test_zero_load_memo_keys_by_backend(self):
-        topo = SprintTopology.for_level(4, 4, 4)
-        ref = zero_load_latency(topo, CFG, "cdor")
-        fast = zero_load_latency(topo, CFG, "cdor", backend="vectorized")
-        assert ref == fast  # same analytic model today
-        cache = zero_load_cache()
-        # the default engine keeps the historical (backend-free) key shape
-        assert cache.get(stable_key(("zero_load_latency", topo, CFG, "cdor"))) == ref
-        assert cache.get(stable_key(
-            ("zero_load_latency", "vectorized", topo, CFG, "cdor"))) == fast
+        for name in ("", "gpu"):
+            with pytest.raises(ValueError, match="backend"):
+                make_spec(backend=name)
 
 
 class TestAutoBackend:
-    """``backend="auto"`` resolves through the public requirements/supports
-    API to the fastest capable engine, without perturbing cache keys."""
+    """``backend="auto"`` -- the default -- names the fast path."""
 
     def test_auto_resolves_to_fastest_capable(self):
-        assert make_spec(backend="auto").resolved_backend() == "vectorized"
+        assert make_spec().backend == "auto"
         assert resolve_backend(make_spec()).name == "vectorized"
+        assert resolve_backend(make_spec(backend="reference")).name == "reference"
 
     def test_auto_covers_the_full_capability_grid(self):
-        faulted = make_spec(level=16, backend="auto", faults=FaultSchedule(
+        faulted = make_spec(level=16, faults=FaultSchedule(
             (FaultEvent(cycle=100, node=5),)))
-        adaptive = make_spec(level=16, backend="auto", routing="west_first")
-        assert faulted.resolved_backend() == "vectorized"
-        assert adaptive.resolved_backend() == "vectorized"
-
-    def test_auto_prefers_higher_speed_rank(self):
-        with scratch_backend(name="turbo", capabilities=ALL_CAPABILITIES,
-                             speed_rank=99):
-            assert make_spec(backend="auto").resolved_backend() == "turbo"
-
-    def test_auto_skips_backends_missing_a_capability(self):
-        spec = make_spec(level=16, backend="auto", faults=FaultSchedule(
-            (FaultEvent(cycle=100, node=5),)))
-        with scratch_backend(name="turbo", speed_rank=99):  # no faults token
-            assert spec.resolved_backend() == "vectorized"
-
-    def test_auto_resolution_failure_is_structured(self):
-        from repro.noc.backends.base import _REGISTRY
-
-        saved = dict(_REGISTRY)
-        try:
-            _REGISTRY.clear()
-            with scratch_backend():  # tracing/sampling only
-                spec = make_spec(level=16, backend="auto", faults=FaultSchedule(
-                    (FaultEvent(cycle=100, node=5),)))
-                with pytest.raises(BackendCapabilityError, match="auto"):
-                    spec.resolved_backend()
-        finally:
-            _REGISTRY.clear()
-            _REGISTRY.update(saved)
+        adaptive = make_spec(level=16, routing="west_first")
+        assert resolve_backend(faulted, gating_policy=object()).name == "vectorized"
+        assert resolve_backend(adaptive).name == "vectorized"
 
     def test_auto_cache_key_is_the_resolved_engines(self):
         auto = make_spec(backend="auto")
         assert auto.cache_key() == make_spec(
-            backend=auto.resolved_backend()).cache_key()
+            backend=resolve_backend(auto).name).cache_key()
 
     def test_auto_never_changes_explicit_backend_keys(self):
         explicit = make_spec(backend="vectorized")
-        default = make_spec()
-        keys = (explicit.cache_key(), default.cache_key())
-        with scratch_backend(name="turbo", capabilities=ALL_CAPABILITIES,
-                             speed_rank=999):
-            assert (explicit.cache_key(), default.cache_key()) == keys
+        reference = make_spec(backend="reference")
+        keys = (explicit.cache_key(), reference.cache_key())
+        # resolving the alias leaves the explicit specs and their keys alone
+        assert resolve_backend(make_spec()).name == "vectorized"
+        assert (explicit.backend, reference.backend) == ("vectorized", "reference")
+        assert (explicit.cache_key(), reference.cache_key()) == keys
+        assert keys == (make_spec().cache_key(),) * 2
 
     def test_simulate_accepts_auto(self):
         spec = make_spec(level=8, rate=0.2, seed=5)
@@ -803,30 +604,13 @@ class TestDriverPlumbing:
         out = capsys.readouterr().out
         assert "grid sweep" in out and "min lvl" in out
 
-    def test_cli_rejects_backend_capability_mismatch(self, capsys):
-        """Eager grid validation reports *every* incompatible point."""
-        from repro.cli import main
-
-        with scratch_backend() as backend:  # no faults capability
-            code = main(["sweep", "--levels", "16", "--rates", "0.1", "0.2",
-                         "--patterns", "uniform", "transpose",
-                         "--backend", backend.name, "--fault", "5@100"])
-        out = capsys.readouterr().out
-        assert code == 2
-        # one line per bad point (4) plus the closing summary line
-        assert out.count("invalid sweep grid") == 5
-        assert "4 of 4 points" in out
-        assert "does not support: faults" in out
-
     def test_cli_backends_matrix(self, capsys):
         from repro.cli import main
 
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "reference" in out and "vectorized" in out
-        for token in sorted(ALL_CAPABILITIES):
-            assert token in out
-        assert "auto" in out
+        assert "native kernel" in out and "auto" in out
 
     def test_system_backend_parameter(self):
         from repro.core.system import NoCSprintingSystem

@@ -135,7 +135,7 @@ class TestLedger:
         assert rec is not None
         assert rec.kind == "sweep"
         assert rec.label == "unit"
-        assert rec.backend == "reference"
+        assert rec.backend == "vectorized"  # "auto" recorded as its engine
         assert len(rec.points) == 1
         assert ledger.latest() == rec
 

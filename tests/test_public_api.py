@@ -11,7 +11,7 @@ PACKAGES = {
         "SprintTopology", "check_deadlock_freedom", "sprint_order",
         "thermal_aware_floorplan", "EvaluationReport", "SimulationSpec",
         "TrafficSpec", "run_simulation", "SweepRunner", "ResultCache",
-        "register_backend", "get_backend", "list_backends",
+        "get_backend", "list_backends",
         "Ledger", "RunRecord", "compare_runs",
         "WIRE_VERSION", "WireFormatError", "spec_to_wire", "spec_from_wire",
     ],
@@ -25,9 +25,8 @@ PACKAGES = {
         "MetricPolicy",
     ],
     "repro.noc.backends": [
-        "SimBackend", "BackendCapabilityError", "register_backend",
-        "get_backend", "list_backends", "required_capabilities",
-        "check_capabilities", "ReferenceBackend", "VectorizedBackend",
+        "get_backend", "list_backends", "resolve_backend",
+        "ReferenceBackend", "VectorizedBackend",
     ],
     "repro.core": [
         "SprintTopology", "CdorRouter", "LbdrRouter", "Floorplan",
@@ -39,8 +38,7 @@ PACKAGES = {
         "Network", "Router", "Packet", "Flit", "TrafficGenerator",
         "run_simulation", "run_llc_simulation", "zero_load_latency",
         "TraceRecorder", "TraceTraffic", "build_adaptive_table",
-        "TimeoutGatingPolicy", "break_even_cycles", "SimBackend",
-        "BackendCapabilityError", "register_backend", "get_backend",
+        "TimeoutGatingPolicy", "break_even_cycles", "get_backend",
         "list_backends",
     ],
     "repro.power": [
