@@ -9,9 +9,10 @@ translation unit over flat arrays, compiled on demand with whatever
 :mod:`ctypes`.
 
 The compiled object is cached in the system temp directory under a name
-keyed by the SHA-256 of the embedded source, so each kernel revision
-compiles once per machine; publication is an atomic :func:`os.replace`
-so concurrent sweep workers never observe a half-written library.  When
+keyed by the SHA-256 of the embedded source and the compiler flags, so
+each kernel revision compiles once per machine; publication is an
+atomic :func:`os.replace` so concurrent sweep workers never observe a
+half-written library.  When
 no compiler is available, compilation fails, or ``REPRO_NOC_NATIVE=0``
 disables the path, :func:`available` returns False and
 :class:`VectorizedBackend` runs the reference engine instead -- same
@@ -24,16 +25,21 @@ Division of labour with the Python driver:
   ``TrafficGenerator.packets_for_cycle`` on a bit-exact port of
   CPython's MT19937 (``random()`` and ``randrange()``), seeded from the
   stream's ``random.getstate()``, and writes per-packet columns (row
-  index == pid) over a *horizon* of pre-drawn cycles; the MT state lives
-  in a per-run buffer, so a longer horizon continues the stream;
-- the C kernel simulates until it finishes or runs off the end of the
-  horizon, in which case it reports ``UNFINISHED`` and the driver
-  extends the horizon and re-runs the kernel from scratch (the kernel
-  is deterministic and fast enough that a rare re-run is cheaper than
-  checkpointing state across the boundary);
-- the kernel returns the measured packets' ejection order, and Python
-  replays the latency/hop statistics in that order so the Welford mean
-  accumulates in exactly the reference sequence;
+  index == pid); the MT state lives in a per-run buffer, so every draw
+  continues the stream;
+- a plain run is one ``run_kernel`` call that draws its traffic on
+  demand, a 16-cycle chunk whenever the cycle loop (or an idle
+  fast-forward) reaches the end of the rows drawn, so it draws no more
+  than the cycles it runs plus one chunk; only when the columns' row
+  capacity runs out does it report ``UNFINISHED``, and the driver grows
+  the columns (keeping the rows drawn) and re-runs the kernel from
+  scratch -- it is deterministic and fast enough that a rare re-run is
+  cheaper than checkpointing state across the boundary;
+- the kernel also computes the result statistics over the measured
+  packets' ejection order (``result_stats``: the Welford means in
+  ``RunningStats.add``'s operation order, the maximum latency and the
+  p50/p95/p99 by ``util.stats.percentile``'s interpolation), so no
+  per-packet data returns to Python;
 - gated runs run in C as well: a plain
   :class:`~repro.noc.power_gating.TimeoutGatingPolicy` is data (its
   ``idle_timeout``, a per-router protected mask and the network's
@@ -47,7 +53,7 @@ Division of labour with the Python driver:
   back-filled rows for fast-forwarded idle stretches), and the driver
   replays them as the same spans, sample events and metrics the
   reference emits -- cumulative per-router injection counts are
-  reconstructed from the pre-drawn packet columns, so the kernel never
+  reconstructed from the drawn packet columns, so the kernel never
   touches them;
 - fault schedules run as a *chain* of kernel segments, one per region
   configuration, over one drawn packet stream: the kernel stops at the
@@ -56,7 +62,9 @@ Division of labour with the Python driver:
   Python -- survivors, carried as global row ids, become seed rows of
   the next segment's packet columns, re-entering through the normal NI
   path in pid order -- and the fault counters, activity folds, gating
-  counts and telemetry accumulate across segments.
+  counts and telemetry accumulate across segments; segments run over
+  pre-drawn columns, and ``result_stats`` runs once over the
+  concatenated per-segment latencies and hops.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -79,13 +88,12 @@ from repro.noc.power_gating import TimeoutGatingPolicy
 from repro.noc.result import SimulationResult
 from repro.noc.routing import PORT_COUNT, PORT_TO_DIRECTION, REVERSE_PORT
 from repro.noc.spec import SimulationSpec
-from repro.util.stats import RunningStats, percentile
 
 # occupancy and allocation-pending masks are single 64-bit words:
 # PORT_COUNT * vcs bits must fit (5 * 12 = 60)
 _MAX_VCS = 12
 
-_FLAG_UNFINISHED = 1  # simulation ran past the pre-drawn traffic horizon
+_FLAG_UNFINISHED = 1  # out of traffic: past the drawn horizon or row capacity
 _FLAG_IDLE_BREAK = 2  # whole-mesh idle exit before the window closed
 _FLAG_BOUNDARY = 4  # stopped at a fault boundary (stop_cycle) for the driver
 
@@ -105,6 +113,14 @@ typedef long long i64;
 #define FLAG_UNFINISHED 1
 #define FLAG_IDLE_BREAK 2
 #define FLAG_BOUNDARY 4
+#define DRAW_CHUNK 16  /* cycles of traffic drawn per on-demand step */
+
+i64 draw_traffic(uint32_t *mt, i64 k, const i64 *ep_src, const i64 *ep_node,
+                 const i64 *perm, i64 mode, double prob, double hot_frac,
+                 i64 hot, i64 length, i64 warmup, i64 measure_end,
+                 i64 c0, i64 c1, i64 cap, i64 *cycle, i64 *src, i64 *dest,
+                 i64 *len, i64 *meas, i64 *reached);
+i64 result_stats(i64 n, const i64 *lat, const i64 *hops, double *res);
 
 /* One cycle-exact replica of the reference wormhole-VC pipeline over
  * flat arrays.  Every arbitration order (VC allocation request order,
@@ -135,10 +151,9 @@ i64 run_kernel(
                             * adaptive candidate pairs are packed as
                             * 8 | (c0 << 4) | (c1 << 8)                */
     const i64 *rev,        /* 5: reverse port map                      */
-    i64 n_pkts,
-    const i64 *p_cycle, const i64 *p_src, const i64 *p_dest,
-    const i64 *p_len, const i64 *p_meas,
-    i64 sched_upto,        /* cycles of traffic pre-drawn              */
+    i64 n_pkts,            /* rows already drawn                       */
+    i64 *p_cycle, i64 *p_src, i64 *p_dest, i64 *p_len, i64 *p_meas,
+    i64 sched_upto,        /* cycles of traffic already drawn          */
     i64 warmup, i64 measure_end, i64 deadline,
     i64 start_cycle,       /* first cycle (a fault-segment boundary)   */
     i64 stop_cycle,        /* break before this cycle, -1 for never    */
@@ -159,7 +174,15 @@ i64 run_kernel(
     i64 idle_timeout, i64 wakeup,
     const i64 *protect,    /* count: 1 = never gated                   */
     i64 *powered,          /* count: powered cycles in the window      */
-    i64 *s_gated)          /* s_cap*count: gated flags (when gating)   */
+    i64 *s_gated,          /* s_cap*count: gated flags (when gating)   */
+    /* the on-demand traffic source (draw_traffic's arguments); NULL `mt`
+     * means the columns already hold every row the run may use */
+    uint32_t *mt, i64 k, const i64 *ep_src, const i64 *ep_node,
+    const i64 *perm, i64 mode, double prob, double hot_frac, i64 hot,
+    i64 length,
+    i64 cap,               /* row capacity of the packet columns and
+                            * the per-packet outputs                   */
+    double *stats)         /* 6: result_stats' output, NULL for none    */
 {
     i64 slots = 5 * vcs;
     i64 gslots = count * slots;
@@ -187,7 +210,7 @@ i64 run_kernel(
     /* network interfaces: packet queues as linked lists over pnext */
     i64 *qhead = malloc((size_t)count * sizeof(i64));
     i64 *qtail = malloc((size_t)count * sizeof(i64));
-    i64 *pnext = malloc((size_t)(n_pkts ? n_pkts : 1) * sizeof(i64));
+    i64 *pnext = malloc((size_t)(cap ? cap : 1) * sizeof(i64));
     i64 *cur_pkt = malloc((size_t)count * sizeof(i64));
     i64 *cur_idx = calloc((size_t)count, sizeof(i64));
     i64 *cur_vc = calloc((size_t)count, sizeof(i64));
@@ -253,6 +276,23 @@ i64 run_kernel(
                     credits[i * slots + port * vcs + v] = depth;
     }
 
+/* on demand: draw the next DRAW_CHUNK cycles (never past the deadline)
+ * into the free rows; `sched_upto` stays put once the capacity is
+ * exhausted */
+#define DRAW_MORE() do {                                                  \
+        i64 c1_ = deadline - sched_upto > DRAW_CHUNK                      \
+                      ? sched_upto + DRAW_CHUNK : deadline;               \
+        i64 drawn_ = draw_traffic(                                        \
+            mt, k, ep_src, ep_node, perm, mode, prob, hot_frac, hot,      \
+            length, warmup, measure_end, sched_upto, c1_, cap - n_pkts,   \
+            p_cycle + n_pkts, p_src + n_pkts, p_dest + n_pkts,            \
+            p_len + n_pkts, p_meas + n_pkts, &sched_upto);                \
+        n_pkts += drawn_;                                                 \
+    } while (0)
+
+    /* an idle exit reports this many cycles run, and the drawn rows must
+     * cover them (the driver replays injections below cycles_run) */
+    i64 idle_end = deadline > measure_end ? measure_end + 1 : deadline;
     i64 cycle = start_cycle, cycles_run = 0, flags = 0;
     i64 in_flight = 0, events_pending = 0, p = 0;
     i64 created_measured = 0, measured_ejected = 0, measured_flits = 0;
@@ -274,12 +314,18 @@ i64 run_kernel(
              * when neither is due before the measurement window closes
              * (a boundary beyond it stays unprocessed, exactly like the
              * reference's); back-fill the sample instants the jump
-             * skips (all-idle rows) */
+             * skips (all-idle rows); on demand, draw ahead until a
+             * packet is due or the idle exit's cycles are covered */
+            while (mt && p >= n_pkts && sched_upto < idle_end) {
+                i64 before = sched_upto;
+                DRAW_MORE();
+                if (sched_upto == before) { flags |= FLAG_UNFINISHED; break; }
+            }
+            if (flags & FLAG_UNFINISHED) break;
             i64 nxt = (p < n_pkts && p_cycle[p] < measure_end)
                           ? p_cycle[p] : -1;
             if (nxt < 0 && (stop_cycle < 0 || stop_cycle > measure_end)) {
-                cycles_run = deadline > measure_end ? measure_end + 1
-                                                    : deadline;
+                cycles_run = idle_end;
                 flags |= FLAG_IDLE_BREAK;
                 if (interval) {
                     i64 c = (cycle + interval - 1) / interval * interval;
@@ -306,6 +352,7 @@ i64 run_kernel(
             break;
         }
 
+        if (cycle >= sched_upto && mt) DRAW_MORE();
         if (cycle >= sched_upto) { flags |= FLAG_UNFINISHED; break; }
 
         /* first *visited* cycles past the phase thresholds -- the
@@ -681,12 +728,28 @@ i64 run_kernel(
     out[9] = gate_events;
     out[10] = wake_events;
     out[11] = gated_cycles;
+    out[12] = n_pkts;
+    out[13] = sched_upto;
     memcpy(ej_out, ej_cum, (size_t)count * sizeof(i64));
 
     FREE_ALL();
+    if (stats && !(flags & FLAG_UNFINISHED)) {
+        /* the measured packets' latencies and hops, in ejection order */
+        i64 *lat = malloc((size_t)(n_ej ? 2 * n_ej : 1) * sizeof(i64));
+        if (!lat) return 1;
+        for (i64 j = 0; j < n_ej; j++) {
+            i64 pk = ej_order[j];
+            lat[j] = p_eject[pk] - p_cycle[pk];
+            lat[n_ej + j] = p_hops[pk];
+        }
+        int status = result_stats(n_ej, lat, lat + n_ej, stats);
+        free(lat);
+        return status;
+    }
     return 0;
 }
 #undef CAPTURE
+#undef DRAW_MORE
 #undef FREE_ALL
 
 /* The Bernoulli traffic source: TrafficGenerator.packets_for_cycle over
@@ -782,7 +845,58 @@ i64 draw_traffic(
     *reached = c;
     return n;
 }
+
+/* The result statistics over the measured packets in ejection order:
+ * res = {mean latency, mean hops, max latency, p50, p95, p99}, all 0 for
+ * n == 0.  The means are RunningStats.add's Welford recurrence in the
+ * same operation order, the percentiles util.stats.percentile's linear
+ * interpolation over one sort -- so every double matches the Python
+ * oracle bit for bit (compiled with -ffp-contract=off: a fused
+ * multiply-add would round differently). */
+static int cmp_i64(const void *a, const void *b)
+{
+    i64 x = *(const i64 *)a, y = *(const i64 *)b;
+    return (x > y) - (x < y);
+}
+
+i64 result_stats(i64 n, const i64 *lat, const i64 *hops, double *res)
+{
+    static const double qs[3] = {50.0, 95.0, 99.0};
+    double lat_mean = 0.0, hop_mean = 0.0;
+    i64 lat_max = 0;
+    for (i64 j = 0; j < n; j++) {
+        double count = (double)(j + 1);
+        lat_mean += ((double)lat[j] - lat_mean) / count;
+        hop_mean += ((double)hops[j] - hop_mean) / count;
+        if (j == 0 || lat[j] > lat_max) lat_max = lat[j];
+    }
+    res[0] = lat_mean;
+    res[1] = hop_mean;
+    res[2] = (double)lat_max;
+    if (n == 0) {
+        res[3] = res[4] = res[5] = 0.0;
+        return 0;
+    }
+    i64 *ordered = malloc((size_t)n * sizeof(i64));
+    if (!ordered) return 1;
+    memcpy(ordered, lat, (size_t)n * sizeof(i64));
+    qsort(ordered, (size_t)n, sizeof(i64), cmp_i64);
+    for (int q = 0; q < 3; q++) {
+        double rank = (qs[q] / 100.0) * (double)(n - 1);
+        i64 low = (i64)rank;
+        i64 high = low + 1 < n - 1 ? low + 1 : n - 1;
+        double fraction = rank - (double)low;
+        res[3 + q] = (double)ordered[low] * (1.0 - fraction)
+                     + (double)ordered[high] * fraction;
+    }
+    free(ordered);
+    return 0;
+}
 """
+
+# -ffp-contract=off: result_stats must round like Python, and a fused
+# multiply-add (GCC's default on aarch64) would not
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _lock = threading.Lock()
 _lib = None
@@ -797,9 +911,16 @@ def _find_compiler() -> str | None:
     return None
 
 
+def _library_path(flags=_CFLAGS) -> str:
+    """The cached library's path, named by the source and the flags."""
+    digest = hashlib.sha256(
+        "\0".join((_KERNEL_SOURCE, *flags)).encode("utf-8")
+    ).hexdigest()[:16]
+    return os.path.join(tempfile.gettempdir(), f"repro-noc-kernel-{digest}.so")
+
+
 def _build() -> ctypes.CDLL:
-    digest = hashlib.sha256(_KERNEL_SOURCE.encode("utf-8")).hexdigest()[:16]
-    cached = os.path.join(tempfile.gettempdir(), f"repro-noc-kernel-{digest}.so")
+    cached = _library_path()
     if not os.path.exists(cached):
         compiler = _find_compiler()
         if compiler is None:
@@ -811,7 +932,7 @@ def _build() -> ctypes.CDLL:
                 handle.write(_KERNEL_SOURCE)
             built = os.path.join(workdir, "kernel.so")
             subprocess.run(
-                [compiler, "-O2", "-fPIC", "-shared", "-o", built, source],
+                [compiler, *_CFLAGS, "-o", built, source],
                 check=True,
                 capture_output=True,
             )
@@ -835,6 +956,10 @@ def _build() -> ctypes.CDLL:
         ptr, ptr, ptr, ptr, ptr,     # s_cycle, s_inflight, s_occ, s_ej, ej_out
         c64, c64, c64,               # gating, idle_timeout, wakeup
         ptr, ptr, ptr,               # protect, powered, s_gated
+        ptr, c64, ptr, ptr, ptr,     # mt, k, ep_src, ep_node, perm
+        c64, ctypes.c_double, ctypes.c_double, c64, c64,
+                                     # mode, prob, hot_frac, hot, length
+        c64, ptr,                    # cap, stats
     ]
     lib.draw_traffic.restype = c64
     lib.draw_traffic.argtypes = [
@@ -846,6 +971,8 @@ def _build() -> ctypes.CDLL:
         ptr, ptr, ptr, ptr, ptr,     # cycle, src, dest, len, meas
         ptr,                         # reached
     ]
+    lib.result_stats.restype = c64
+    lib.result_stats.argtypes = [c64, ptr, ptr, ptr]  # n, lat, hops, res
     return lib
 
 
@@ -884,9 +1011,11 @@ class _TrafficSource:
     """One run's packet columns, drawn by the kernel's traffic source.
 
     The MT19937 state starts as the ``random.getstate()`` of the stream
-    ``spec.traffic.build()`` creates and lives in this object, so
-    :meth:`extend_to` continues the stream -- growing the horizon never
-    redraws a cycle.  Row ``r`` of the columns is the packet with pid
+    ``spec.traffic.build()`` creates and lives in this object, so every
+    draw continues the stream -- growing the columns never redraws a
+    cycle.  Plain runs let the kernel draw on demand (:meth:`kernel_args`
+    hands it the state and the free rows); fault segments pre-draw with
+    :meth:`extend_to`.  Row ``r`` of the columns is the packet with pid
     ``r``; ``src`` holds ``src_of[endpoint index]``, ``dest`` the
     destination node id.
     """
@@ -910,31 +1039,50 @@ class _TrafficSource:
         self._args = (
             mode, probability, traffic.hotspot_fraction,
             endpoints.index(traffic.hotspot_endpoint), traffic.packet_length,
-            warmup, measure_end,
         )
+        self._window = (warmup, measure_end)
         self._per_cycle = k * min(1.0, probability)  # expected rows
-        self._cols = np.zeros((5, 0), dtype=np.int64)
+        self.cols = np.zeros((5, 0), dtype=np.int64)
         self._reached = np.zeros(1, dtype=np.int64)
         self.rows = 0     # packets drawn so far
         self.horizon = 0  # cycles drawn so far
+
+    @property
+    def capacity(self) -> int:
+        return self.cols.shape[1]
+
+    def rows_for(self, cycles: int) -> int:
+        """Room for ``cycles`` more cycles: the expected rows, four
+        standard deviations and a few cycles' worth of slack."""
+        expected = max(cycles, 0) * self._per_cycle
+        return int(expected + 4 * math.sqrt(expected)) + 2 * len(self._ep_node) + 64
+
+    def reserve(self, rows: int) -> None:
+        """Grow the columns to hold at least ``rows`` rows (at least
+        doubling), keeping the rows drawn."""
+        if rows <= self.capacity:
+            return
+        grown = np.zeros((5, max(rows, 2 * self.capacity)), dtype=np.int64)
+        grown[:, :self.rows] = self.cols[:, :self.rows]
+        self.cols = grown
+
+    def kernel_args(self) -> tuple:
+        """``run_kernel``'s traffic-source arguments, ``mt`` to ``length``."""
+        return (_as_ptr(self._mt), len(self._ep_node), _as_ptr(self._ep_src),
+                _as_ptr(self._ep_node), _as_ptr(self._perm), *self._args)
 
     def extend_to(self, limit: int) -> None:
         """Draw every cycle in ``[horizon, limit)``."""
         k = len(self._ep_node)
         while self.horizon < limit:
-            if self._cols.shape[1] - self.rows < k:
-                # room for the expected rows plus slack, or double
-                expected = int((limit - self.horizon) * self._per_cycle * 1.25)
-                size = max(self.rows + expected + 2 * k + 64, 2 * self._cols.shape[1])
-                grown = np.zeros((5, size), dtype=np.int64)
-                grown[:, :self.rows] = self._cols[:, :self.rows]
-                self._cols = grown
-            cols = self._cols
+            if self.capacity - self.rows < k:
+                self.reserve(self.rows + self.rows_for(limit - self.horizon))
+            cols = self.cols
             self.rows += self._lib.draw_traffic(
                 _as_ptr(self._mt),
                 k, _as_ptr(self._ep_src), _as_ptr(self._ep_node),
-                _as_ptr(self._perm), *self._args,
-                self.horizon, limit, cols.shape[1] - self.rows,
+                _as_ptr(self._perm), *self._args, *self._window,
+                self.horizon, limit, self.capacity - self.rows,
                 *(_as_ptr(cols[r, self.rows:]) for r in range(5)),
                 _as_ptr(self._reached),
             )
@@ -942,7 +1090,7 @@ class _TrafficSource:
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """``(cycle, src, dest, len, measured)`` views over the drawn rows."""
-        return tuple(self._cols[r, :self.rows] for r in range(5))
+        return tuple(self.cols[r, :self.rows] for r in range(5))
 
     def mt_state(self) -> tuple:
         """The stream position as ``random.getstate()`` would report it."""
@@ -1029,16 +1177,24 @@ def _emit_flat_sample(
     )
 
 
+# run_kernel's traffic-source arguments when the columns are final
+_NO_SOURCE = (None, 0, None, None, None, 0, 0.0, 0.0, 0, 0)
+
+
 def _kernel_run(lib, spec, region, cols, n_pkts, horizon, start, stop,
-                interval, gating):
+                interval, gating, source=None):
     """One kernel invocation over one region's packet columns.
 
-    ``gating`` is ``None`` or ``(idle_timeout, protected_nodes)``.
-    Returns the kernel's output arrays as a namespace -- ``out`` holds
-    cycles run, flags, ejections recorded, created/ejected measured
-    packets, measured flits, samples taken, the first visited cycles past
-    warmup and measure end, then the gate, wake and gated-router-cycle
-    counts -- or None on a non-zero status.
+    ``gating`` is ``None`` or ``(idle_timeout, protected_nodes)``.  With
+    a ``source`` the kernel draws the traffic on demand into the source's
+    columns (``cols``, ``n_pkts`` and ``horizon`` are its state) and the
+    source's ``rows`` and ``horizon`` advance to what it drew; the run's
+    ``stats`` are then :func:`_result_stats`' six doubles.  Returns the
+    kernel's output arrays as a namespace -- ``out`` holds cycles run,
+    flags, ejections recorded, created/ejected measured packets, measured
+    flits, samples taken, the first visited cycles past warmup and
+    measure end, the gate, wake and gated-router-cycle counts, then the
+    rows and cycles drawn -- or None on a non-zero status.
     """
     nodes, _, route, neighbor = region
     count = len(nodes)
@@ -1048,8 +1204,9 @@ def _kernel_run(lib, spec, region, cols, n_pkts, horizon, start, stop,
     measure_end = warmup + spec.measure_cycles
     deadline = measure_end + spec.drain_cycles
     s_cap = deadline // interval + 2 if interval else 1
-    rows = max(n_pkts, 1)
-    if not n_pkts:
+    cap = source.capacity if source is not None else n_pkts
+    rows = max(cap, 1)
+    if source is None and not n_pkts:
         cols = (np.zeros(1, dtype=np.int64),) * 5
 
     def zeros(size):
@@ -1058,11 +1215,12 @@ def _kernel_run(lib, spec, region, cols, n_pkts, horizon, start, stop,
     run = SimpleNamespace(
         p_hops=zeros(rows), p_eject=np.full(rows, -1, dtype=np.int64),
         p_started=zeros(rows), ej_order=zeros(rows),
-        counters=zeros(count * 4), out=zeros(12),
+        counters=zeros(count * 4), out=zeros(14),
         s_cycle=zeros(s_cap), s_inflight=zeros(s_cap),
         s_occ=zeros(s_cap * count), s_ej=zeros(s_cap * count),
         ej_out=zeros(count), powered=zeros(count),
         s_gated=zeros(s_cap * count if gating else 1),
+        stats=np.zeros(6) if source is not None else None,
     )
     timeout, protected = gating if gating else (0, frozenset())
     protect = np.array([node in protected for node in nodes], dtype=np.int64)
@@ -1081,8 +1239,25 @@ def _kernel_run(lib, spec, region, cols, n_pkts, horizon, start, stop,
         _as_ptr(run.s_ej), _as_ptr(run.ej_out),
         1 if gating else 0, timeout, _WAKEUP_LATENCY,
         _as_ptr(protect), _as_ptr(run.powered), _as_ptr(run.s_gated),
+        *(source.kernel_args() if source is not None else _NO_SOURCE),
+        cap, None if run.stats is None else _as_ptr(run.stats),
     )
+    if source is not None:
+        source.rows, source.horizon = int(run.out[12]), int(run.out[13])
     return run if status == 0 else None
+
+
+def _result_stats(lib, latencies, hops) -> list | None:
+    """``[mean latency, mean hops, max latency, p50, p95, p99]`` over the
+    measured packets in ejection order, by the kernel's ``result_stats``
+    -- bit for bit ``RunningStats`` and ``util.stats.percentile``; None
+    when the kernel could not allocate."""
+    lat = np.ascontiguousarray(latencies, dtype=np.int64)
+    hop = np.ascontiguousarray(hops, dtype=np.int64)
+    res = np.zeros(6)
+    if lib.result_stats(len(lat), _as_ptr(lat), _as_ptr(hop), _as_ptr(res)):
+        return None
+    return res.tolist()
 
 
 def _emit_run_telemetry(
@@ -1095,7 +1270,7 @@ def _emit_run_telemetry(
     metrics fold.  Per-router cumulative injection counts (and the
     in-flight contribution of packets created *at* a sample instant,
     which the kernel's capture point precedes) are rebuilt from the
-    pre-drawn packet columns; occupancies, ejections and gating flags
+    drawn packet columns; occupancies, ejections and gating flags
     come from the kernel's capture arrays.
     """
     warmup = spec.warmup_cycles
@@ -1228,8 +1403,19 @@ def execute(
     return result
 
 
+def _first_rows(source, spec) -> int:
+    """A plain run's first row capacity: the traffic of the measurement
+    window plus up to 2,048 drain cycles.  Most runs drain within a few
+    hundred cycles of the window closing; only saturated runs outgrow it."""
+    measure_end = spec.warmup_cycles + spec.measure_cycles
+    return source.rows_for(
+        min(measure_end + spec.drain_cycles,
+            measure_end + 1 + min(spec.drain_cycles, 2048))
+    )
+
+
 def _execute_plain(spec, lib, tel, interval, gating, totals):
-    """Run an unfaulted spec as one kernel run over the whole horizon."""
+    """Run an unfaulted spec as one kernel run drawing its own traffic."""
     warmup = spec.warmup_cycles
     measure_cycles = spec.measure_cycles
     measure_end = warmup + measure_cycles
@@ -1241,21 +1427,19 @@ def _execute_plain(spec, lib, tel, interval, gating, totals):
     source = _TrafficSource(
         lib, traffic, slot_of[traffic.endpoints], warmup, measure_end
     )
-
-    # most runs drain within a few hundred cycles of the window closing;
-    # only saturated runs walk the horizon out toward the full deadline
-    # (grown, never redrawn, when the kernel outruns it)
-    source.extend_to(min(deadline, measure_end + 1 + min(spec.drain_cycles, 2048)))
+    source.reserve(_first_rows(source, spec))
 
     while True:
-        cols = source.columns()
-        run = _kernel_run(lib, spec, region, cols, source.rows,
-                          source.horizon, 0, -1, interval, gating)
+        run = _kernel_run(lib, spec, region, source.cols, source.rows,
+                          source.horizon, 0, -1, interval, gating, source)
         if run is None:
             return None
         if not run.out[1] & _FLAG_UNFINISHED:
             break
-        source.extend_to(min(deadline, max(source.horizon * 4, source.horizon + 1)))
+        # out of rows: grow the columns, keeping the rows drawn, and re-run
+        # (the re-run replays them and continues the same stream)
+        source.reserve(source.rows + source.rows_for(
+            min(deadline, 4 * source.horizon) - source.horizon))
 
     out = run.out
     totals += out[9:12]
@@ -1263,19 +1447,13 @@ def _execute_plain(spec, lib, tel, interval, gating, totals):
     created_measured = int(out[3])
     measured_ejected = int(out[4])
     measured_flits = int(out[5])
-
-    latency = RunningStats()
-    hops_stats = RunningStats()
-    order = run.ej_order[:int(out[2])]
-    latencies = (run.p_eject[order] - cols[0][order]).tolist()
-    latency.extend(latencies)
-    hops_stats.extend(run.p_hops[order].tolist())
+    stats = run.stats.tolist()
 
     saturated = measured_ejected < created_measured
     endpoints = len(traffic.endpoints)
 
     if tel is not None:
-        c_cycle, c_src, _, c_len, _ = cols
+        c_cycle, c_src, _, c_len, _ = source.columns()
         _emit_run_telemetry(
             tel, spec, traffic, nodes,
             (c_cycle.tolist(), c_src.tolist(), c_len.tolist()),
@@ -1297,12 +1475,12 @@ def _execute_plain(spec, lib, tel, interval, gating, totals):
         router_activity.cycles_powered = powered[i] if gating else measure_cycles
 
     return SimulationResult(
-        avg_latency=latency.mean if latency.count else 0.0,
-        avg_hops=hops_stats.mean if hops_stats.count else 0.0,
-        max_latency=int(latency.maximum) if latency.count else 0,
-        p50_latency=percentile(latencies, 50) if latencies else 0.0,
-        p95_latency=percentile(latencies, 95) if latencies else 0.0,
-        p99_latency=percentile(latencies, 99) if latencies else 0.0,
+        avg_latency=stats[0],
+        avg_hops=stats[1],
+        max_latency=int(stats[2]),
+        p50_latency=stats[3],
+        p95_latency=stats[4],
+        p99_latency=stats[5],
         packets_measured=created_measured,
         packets_ejected=measured_ejected,
         offered_flits_per_cycle=traffic.injection_rate,
@@ -1355,9 +1533,8 @@ def _execute_faulted(spec, lib, tel, interval, gating, totals):
     }
     min_level = planned.level
     created_measured = measured_ejected = measured_flits = 0
-    latency = RunningStats()
-    hops_stats = RunningStats()
-    latencies: list[int] = []
+    latencies: list[np.ndarray] = []  # per segment, in ejection order
+    hops: list[np.ndarray] = []
     activity = NetworkActivity()
     segments: list[dict] = []  # per-segment telemetry replay payloads
     reconf_events: list[tuple[int, int]] = []  # (boundary cycle, new level)
@@ -1454,10 +1631,8 @@ def _execute_faulted(spec, lib, tel, interval, gating, totals):
         measured_ejected += int(out[4])
         measured_flits += int(out[5])
         order = run.ej_order[:int(out[2])]
-        seg_latencies = (run.p_eject[order] - g_cycle[g_rows[order]]).tolist()
-        latency.extend(seg_latencies)
-        latencies.extend(seg_latencies)
-        hops_stats.extend(run.p_hops[order].tolist())
+        latencies.append(run.p_eject[order] - g_cycle[g_rows[order]])
+        hops.append(run.p_hops[order])
         # creation-time drops count only for cycles the loop visited
         cap = stop if stopped else int(out[0])
         counters["dropped"] += sum(1 for c in drop_cycles if c < cap)
@@ -1506,6 +1681,9 @@ def _execute_faulted(spec, lib, tel, interval, gating, totals):
         seg_start = stop
         next_b += 1
 
+    stats = _result_stats(lib, np.concatenate(latencies), np.concatenate(hops))
+    if stats is None:
+        return None
     saturated = (
         measured_ejected < created_measured - counters["lost_measured"]
     )
@@ -1519,12 +1697,12 @@ def _execute_faulted(spec, lib, tel, interval, gating, totals):
         )
 
     return SimulationResult(
-        avg_latency=latency.mean if latency.count else 0.0,
-        avg_hops=hops_stats.mean if hops_stats.count else 0.0,
-        max_latency=int(latency.maximum) if latency.count else 0,
-        p50_latency=percentile(latencies, 50) if latencies else 0.0,
-        p95_latency=percentile(latencies, 95) if latencies else 0.0,
-        p99_latency=percentile(latencies, 99) if latencies else 0.0,
+        avg_latency=stats[0],
+        avg_hops=stats[1],
+        max_latency=int(stats[2]),
+        p50_latency=stats[3],
+        p95_latency=stats[4],
+        p99_latency=stats[5],
         packets_measured=created_measured,
         packets_ejected=measured_ejected,
         offered_flits_per_cycle=traffic.injection_rate,

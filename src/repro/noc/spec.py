@@ -389,8 +389,22 @@ class SimulationSpec:
 
         The ``backend`` hint is not part of it: the reference, vectorized
         and auto variants of one run share a key (and a cache entry).
+        Memoized per instance in ``__dict__``, outside the fields, so
+        equality, hashing, :func:`dataclasses.replace` and the wire body
+        never see it (and pickles leave it out, see ``__getstate__``).
         """
-        return stable_key(("simulate", self))
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            key = stable_key(("simulate", self))
+            self.__dict__["_cache_key"] = key
+        return key
+
+    def __getstate__(self) -> dict:
+        # the memoized key is derived state: a pickle carries the fields
+        # only, and the copy re-derives its key under the code that loads it
+        state = dict(self.__dict__)
+        state.pop("_cache_key", None)
+        return state
 
     def with_seed(self, seed: int) -> "SimulationSpec":
         """The same run under a different traffic seed."""

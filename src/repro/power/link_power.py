@@ -10,6 +10,8 @@ still grows with physical length -- this model is where that cost shows up.
 
 from __future__ import annotations
 
+import functools
+
 from repro.config import NoCConfig
 from repro.core.floorplanning import Floorplan
 from repro.power.router_power import PowerBreakdown
@@ -72,14 +74,18 @@ def link_lengths_mm(
     """Physical length of every powered link of a sprint topology.
 
     Without a floorplan every link is one tile pitch; with a thermal-aware
-    floorplan, lengths follow the physical node placement.
+    floorplan, lengths follow the physical node placement.  Returns a
+    fresh dict over a table memoized per ``(topology, floorplan)``.
     """
-    lengths = {}
-    for a, b in topology.active_links():
-        if floorplan is None:
-            lengths[(a, b)] = TILE_PITCH_MM
-        else:
-            lengths[(a, b)] = max(
-                TILE_PITCH_MM, floorplan.wire_length(a, b) * TILE_PITCH_MM
-            )
-    return lengths
+    return dict(_link_lengths(topology, floorplan))
+
+
+@functools.lru_cache(maxsize=64)
+def _link_lengths(topology, floorplan) -> tuple[tuple[tuple[int, int], float], ...]:
+    """``link_lengths_mm``'s items; both arguments are frozen and hashable."""
+    if floorplan is None:
+        return tuple((link, TILE_PITCH_MM) for link in topology.active_links())
+    return tuple(
+        ((a, b), max(TILE_PITCH_MM, floorplan.wire_length(a, b) * TILE_PITCH_MM))
+        for a, b in topology.active_links()
+    )

@@ -545,6 +545,146 @@ class TestSamplingParity:
                 assert stats["gated"] == 0
 
 
+def _native():
+    from repro.noc.backends import native
+
+    if not native.available():
+        pytest.skip("no C compiler / native kernel disabled")
+    return native
+
+
+@st.composite
+def _latency_samples(draw):
+    """(latencies, hops) in ejection order: empty, single, duplicate-heavy,
+    3,000 long or arbitrary."""
+    import random
+
+    kind = draw(st.sampled_from(["empty", "single", "dups", "long", "any"]))
+    if kind == "long":
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        top = draw(st.sampled_from([3, 120, 10**6]))
+        return ([rng.randint(0, top) for _ in range(3000)],
+                [rng.randint(0, 14) for _ in range(3000)])
+    size = {"empty": 0, "single": 1}.get(kind)
+    values = st.integers(0, 3) if kind == "dups" else st.integers(0, 10**7)
+    n = size if size is not None else draw(st.integers(0, 80))
+    lat = draw(st.lists(values, min_size=n, max_size=n))
+    hops = draw(st.lists(st.integers(0, 14), min_size=n, max_size=n))
+    return lat, hops
+
+
+def _count_kernel_runs(monkeypatch, native):
+    """Spy on ``_kernel_run``: the list fills with each call's flags and
+    horizon reached."""
+    calls = []
+    kernel_run = native._kernel_run
+
+    def spy(*args, **kwargs):
+        run = kernel_run(*args, **kwargs)
+        calls.append((int(run.out[1]), int(run.out[0]), int(run.out[13])))
+        return run
+
+    monkeypatch.setattr(native, "_kernel_run", spy)
+    return calls
+
+
+class TestOnDemandKernel:
+    """A plain run is one kernel call that draws its own traffic and
+    computes the result statistics: the statistics equal the Python
+    oracle bit for bit, the draw stops one chunk past the cycles run, and
+    a too-small row capacity only costs re-runs, never different bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sample=_latency_samples())
+    def test_result_stats_match_the_python_oracle(self, sample):
+        from repro.util.stats import RunningStats, percentile
+
+        native = _native()
+        lat, hops = sample
+        latency, hop_stats = RunningStats(), RunningStats()
+        for value, hop in zip(lat, hops):
+            latency.add(value)
+            hop_stats.add(hop)
+        want = [
+            latency.mean if lat else 0.0,
+            hop_stats.mean if lat else 0.0,
+            float(int(latency.maximum)) if lat else 0.0,
+            *(float(percentile(lat, q)) if lat else 0.0 for q in (50, 95, 99)),
+        ]
+        got = native._result_stats(native._load(), lat, hops)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_fig9_grid_draws_at_most_one_chunk_past_the_run(self, monkeypatch):
+        import re
+
+        from repro.cmp.workloads import all_profiles
+        from repro.core.system import NoCSprintingSystem
+        from repro.telemetry import Ledger
+
+        native = _native()
+        chunk = int(re.search(r"#define DRAW_CHUNK (\d+)",
+                              native._KERNEL_SOURCE).group(1))
+        # the Figure 9 grid: every workload sprinting on 2+ cores, both schemes
+        system = NoCSprintingSystem(ledger=Ledger.disabled(), backend="auto")
+        specs = [
+            system.simulation_spec(profile, scheme, warmup_cycles=300,
+                                   measure_cycles=1200)
+            for profile in all_profiles()
+            if system.scheme_level(profile, "noc_sprinting") >= 2
+            for scheme in ("noc_sprinting", "full_sprinting")
+        ]
+        assert len(specs) == 24
+        calls = _count_kernel_runs(monkeypatch, native)
+        for spec in specs:
+            del calls[:]
+            result = simulate(spec)
+            assert len(calls) == 1  # one kernel call, no re-run
+            flags, cycles_run, horizon = calls[0]
+            assert cycles_run == result.cycles_run
+            # rows cover every cycle run, and the draw stops within a chunk
+            assert cycles_run <= horizon <= cycles_run + chunk
+
+    @pytest.mark.parametrize("label", ["plain", "gated", "saturated"])
+    @pytest.mark.parametrize("first", [0, 1, 40])
+    def test_tiny_first_capacity_stays_identical(self, monkeypatch, label,
+                                                 first):
+        from repro.noc.power_gating import TimeoutGatingPolicy
+
+        native = _native()
+        spec = {
+            "plain": make_spec(level=16, rate=0.2, seed=21, routing="xy"),
+            "gated": make_spec(level=8, rate=0.1, seed=22),
+            "saturated": make_spec(level=16, rate=1.8, seed=23, routing="xy",
+                                   warmup=100, measure=300, drain_cycles=400),
+        }[label]
+        policies = ({"reference": TimeoutGatingPolicy(idle_timeout=8),
+                     "vectorized": TimeoutGatingPolicy(idle_timeout=8)}
+                    if label == "gated" else {})
+        ref = simulate(spec, backend="reference",
+                       gating_policy=policies.get("reference"))
+        monkeypatch.setattr(native, "_first_rows", lambda source, spec: first)
+        calls = _count_kernel_runs(monkeypatch, native)
+        fast = simulate(spec, backend="vectorized",
+                        gating_policy=policies.get("vectorized"))
+        assert len(calls) > 1 and calls[0][0] & native._FLAG_UNFINISHED
+        assert not calls[-1][0] & native._FLAG_UNFINISHED
+        assert_identical(ref, fast, f"{label}, first capacity {first}")
+        assert fast.saturated == (label == "saturated")
+        if policies:
+            assert dataclasses.asdict(policies["reference"].stats) \
+                == dataclasses.asdict(policies["vectorized"].stats)
+
+    def test_library_name_covers_source_and_flags(self):
+        from repro.noc.backends import native
+
+        assert "-ffp-contract=off" in native._CFLAGS
+        assert native._library_path() == native._library_path(native._CFLAGS)
+        other = tuple(f for f in native._CFLAGS if f != "-ffp-contract=off")
+        assert native._library_path(other) != native._library_path()
+        assert native._library_path((*native._CFLAGS, "-g")) \
+            != native._library_path()
+
+
 class TestInvariants:
     """Physical invariants that must hold on every backend."""
 

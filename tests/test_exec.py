@@ -116,6 +116,47 @@ class TestSimulationSpec:
         with pytest.raises(TypeError):
             stable_key(object())
 
+    def test_cache_key_is_memoized_per_instance(self, monkeypatch):
+        import repro.noc.spec as spec_mod
+
+        calls = []
+        original = spec_mod.stable_key
+
+        def counting(obj):
+            calls.append(obj)
+            return original(obj)
+
+        monkeypatch.setattr(spec_mod, "stable_key", counting)
+        spec = small_spec()
+        key = spec.cache_key()
+        assert spec.cache_key() == key
+        assert len(calls) == 1  # the second call did no canonicalization
+        # the memo sits outside the fields: equality, hashing and
+        # replace() see only the value
+        assert spec == small_spec() and hash(spec) == hash(small_spec())
+        assert "_cache_key" not in dataclasses.asdict(spec)
+        assert spec.to_wire() == small_spec().to_wire()
+
+    def test_memoized_key_survives_pickle_and_copy(self):
+        import copy
+
+        spec = small_spec()
+        key = spec.cache_key()
+        for clone in (pickle.loads(pickle.dumps(spec)), copy.copy(spec),
+                      copy.deepcopy(spec)):
+            assert clone == spec
+            assert clone.cache_key() == key
+        # a pickle carries the fields only, never the derived key
+        assert pickle.dumps(spec) == pickle.dumps(small_spec())
+
+    def test_with_seed_gets_a_fresh_key(self):
+        spec = small_spec()
+        key = spec.cache_key()
+        reseeded = spec.with_seed(5)
+        assert reseeded.cache_key() != key
+        assert reseeded.cache_key() == small_spec(seed=5).cache_key()
+        assert dataclasses.replace(spec).cache_key() == key
+
 
 class TestResultCache:
     def test_memory_hit_miss_counters(self):

@@ -65,3 +65,14 @@ class TestLinkLengths:
     def test_identity_floorplan_equivalent_to_none(self):
         topo = SprintTopology.for_level(4, 4, 8)
         assert link_lengths_mm(topo) == link_lengths_mm(topo, identity_floorplan(4, 4))
+
+    def test_mutating_the_result_does_not_poison_the_memo(self):
+        topo = SprintTopology.for_level(4, 4, 16)
+        fp = thermal_aware_floorplan(4, 4)
+        for floorplan in (None, fp):
+            first = link_lengths_mm(topo, floorplan)
+            expected = dict(first)
+            first[(0, 1)] = 99.0
+            first.pop((14, 15))
+            again = link_lengths_mm(topo, floorplan)
+            assert again == expected and again is not first

@@ -253,3 +253,56 @@ class TestKernelTrafficSource:
             case, 150, warmup, warmup + measure, splits)
         assert got == expected
         assert state == python_state
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_traffic_cases(),
+           warmup=st.integers(0, 60), measure=st.integers(1, 60),
+           drain=st.integers(0, 80), first=st.sampled_from([0, 1, 16, 200]))
+    def test_kernel_draws_on_demand(self, case, warmup, measure, drain, first):
+        """A plain kernel run drawing its own traffic writes exactly the
+        rows ``packets_for_cycle`` yields for every cycle it drew -- which
+        covers every cycle it ran -- and ends on the same MT19937 state,
+        also when a small first row capacity forces re-runs that continue
+        the stream."""
+        from repro.core.topological import SprintTopology
+        from repro.noc.backends import native
+        from repro.noc.spec import SimulationSpec, TrafficSpec
+
+        if not native.available():
+            pytest.skip("no C compiler / native kernel disabled")
+        # the full 8x8 mesh: every endpoint is active, router index == node
+        spec = SimulationSpec(
+            SprintTopology(8, 8, tuple(range(64))),
+            TrafficSpec(tuple(case["endpoints"]), case["injection_rate"],
+                        case["packet_length"], case["pattern"], case["seed"],
+                        case["hotspot_fraction"], case["hotspot_endpoint"]),
+            routing="xy", warmup_cycles=warmup, measure_cycles=measure,
+            drain_cycles=drain,
+        )
+        runs = []
+        kernel_run = native._kernel_run
+
+        def spy(*args):
+            run = kernel_run(*args)
+            runs.append((int(run.out[1]), args[-1]))
+            return run
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "_kernel_run", spy)
+            patch.setattr(native, "_first_rows", lambda source, spec: first)
+            result = native.execute(spec)
+        flags, source = runs[-1]
+        assert not flags & native._FLAG_UNFINISHED
+        if first == 0:  # nothing fits: the first call must overflow
+            assert runs[0][0] & native._FLAG_UNFINISHED
+        assert source.horizon >= result.cycles_run
+        python = TrafficGenerator(**case)
+        expected = [
+            (c, p.source, p.destination, p.length, int(p.measured), p.pid)
+            for c in range(source.horizon)
+            for p in python.packets_for_cycle(c, warmup <= c < warmup + measure)
+        ]
+        columns = [col.tolist() for col in source.columns()]
+        got = [row + (pid,) for pid, row in enumerate(zip(*columns))]
+        assert got == expected
+        assert source.mt_state() == python.rng_state()
