@@ -18,13 +18,13 @@ testing the resulting CDG for cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import Hashable, Iterable, Mapping, TypeVar
 
 from repro.core.cdor import CdorRouter
 from repro.core.topological import SprintTopology
 
 Channel = tuple[int, int]  # (from-router, to-router), unidirectional
+Vertex = TypeVar("Vertex", bound=Hashable)
 
 
 @dataclass
@@ -40,14 +40,47 @@ class DeadlockReport:
         return self.acyclic
 
 
-def channel_dependency_graph(router: CdorRouter) -> nx.DiGraph:
+def find_cycle(graph: Mapping[Vertex, Iterable[Vertex]]) -> list[Vertex]:
+    """One directed cycle of ``graph`` as its vertices in walk order, or ``[]``.
+
+    ``graph`` maps every vertex, successors included, to its successors; the
+    cycle closes from the last vertex back to the first.  The depth-first
+    search keeps an explicit stack of successor iterators, so deep graphs
+    never hit the recursion limit.
+    """
+    done: set[Vertex] = set()
+    for root in graph:
+        if root in done:
+            continue
+        path, depth = [root], {root: 0}  # depth: grey vertices -> index in path
+        stack = [iter(graph[root])]
+        while stack:
+            for successor in stack[-1]:
+                if successor in depth:
+                    return path[depth[successor]:]
+                if successor not in done:
+                    depth[successor] = len(path)
+                    path.append(successor)
+                    stack.append(iter(graph[successor]))
+                    break
+            else:
+                stack.pop()
+                vertex = path.pop()
+                del depth[vertex]
+                done.add(vertex)
+    return []
+
+
+def channel_dependency_graph(router: CdorRouter) -> dict[Channel, set[Channel]]:
     """Build the CDG of CDOR over the router's sprint topology.
 
-    Only router-to-router channels are modelled; injection and ejection
-    channels cannot participate in cycles because they are sources/sinks.
+    The graph maps every channel some CDOR path uses to the channels a
+    packet holding it may request next.  Only router-to-router channels are
+    modelled; injection and ejection channels cannot participate in cycles
+    because they are sources/sinks.
     """
     topo = router.topology
-    graph = nx.DiGraph()
+    graph: dict[Channel, set[Channel]] = {}
     for source in topo.active_nodes:
         for destination in topo.active_nodes:
             if source == destination:
@@ -55,28 +88,20 @@ def channel_dependency_graph(router: CdorRouter) -> nx.DiGraph:
             path = router.walk(source, destination)
             channels = [(path[i], path[i + 1]) for i in range(len(path) - 1)]
             for ch in channels:
-                graph.add_node(ch)
+                graph.setdefault(ch, set())
             for held, wanted in zip(channels, channels[1:]):
-                graph.add_edge(held, wanted)
+                graph[held].add(wanted)
     return graph
 
 
 def check_deadlock_freedom(router: CdorRouter) -> DeadlockReport:
     """Verify CDOR deadlock freedom on the router's topology."""
     graph = channel_dependency_graph(router)
-    try:
-        cycle_edges = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        return DeadlockReport(
-            acyclic=True,
-            channel_count=graph.number_of_nodes(),
-            dependency_count=graph.number_of_edges(),
-        )
-    cycle = [edge[0] for edge in cycle_edges]
+    cycle = find_cycle(graph)
     return DeadlockReport(
-        acyclic=False,
-        channel_count=graph.number_of_nodes(),
-        dependency_count=graph.number_of_edges(),
+        acyclic=not cycle,
+        channel_count=len(graph),
+        dependency_count=sum(len(wanted) for wanted in graph.values()),
         cycle=cycle,
     )
 

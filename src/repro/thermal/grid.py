@@ -18,11 +18,10 @@ and is used for the sprint-phase timeline of Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import lil_matrix
-from scipy.sparse.linalg import spsolve
 
 AMBIENT_K = 318.0  # 45 C, HotSpot's default ambient
 
@@ -68,7 +67,6 @@ class ThermalGrid:
         self.params = params
         self.nx = width_tiles * cells_per_tile
         self.ny = height_tiles * cells_per_tile
-        self._conductance = self._build_conductance_matrix()
         self._ambient_conductance = self._build_ambient_vector()
 
     # ------------------------------------------------------------------
@@ -84,7 +82,12 @@ class ThermalGrid:
                     g_amb[self._cell_index(cx, cy)] += p.edge_extra_conductance_w_per_k
         return g_amb
 
-    def _build_conductance_matrix(self):
+    @cached_property
+    def _conductance(self):
+        """Lateral conductance matrix, built on the first solve so that
+        constructing a grid (or importing this module) never loads scipy."""
+        from scipy.sparse import lil_matrix
+
         p = self.params
         n = self.nx * self.ny
         matrix = lil_matrix((n, n))
@@ -128,6 +131,7 @@ class ThermalGrid:
         """Steady-state cell temperatures (kelvin), shape (ny, nx)."""
         power = self._power_per_cell(tile_powers)
         from scipy.sparse import diags
+        from scipy.sparse.linalg import spsolve
 
         spreader_k = self.spreader_temperature(tile_powers)
         system = self._conductance + diags(self._ambient_conductance)

@@ -11,6 +11,7 @@ distinct exit code.
 import json
 import os
 import pickle
+import random
 import signal
 import subprocess
 import sys
@@ -460,7 +461,14 @@ class TestCrashAtomicCache:
         )
         proc = subprocess.Popen([sys.executable, "-c", script,
                                  str(tmp_path / "cache")], env=run_env())
-        time.sleep(1.5)
+        deadline = time.monotonic() + 60
+        cache_dir = tmp_path / "cache"
+        while time.monotonic() < deadline:  # wait for >= 1 published entry
+            if cache_dir.is_dir() and any(
+                    name.endswith(".pkl") for name in os.listdir(cache_dir)):
+                break
+            time.sleep(0.05)
+        time.sleep(random.uniform(0.0, 0.3))  # land the kill anywhere in put()
         proc.kill()
         proc.wait(timeout=30)
         entries = [name for name in os.listdir(tmp_path / "cache")
