@@ -238,7 +238,6 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
                 queue_dir=args.fabric,
                 workers=args.workers,
                 lease_ttl_s=args.lease_ttl,
-                quarantine_after=args.quarantine_after,
             )
         except ValueError as err:
             print(f"invalid sweep grid: {err}")
@@ -494,8 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "tornado", "transpose", "shuffle", "hotspot"],
                        help="traffic patterns (grid mode)")
     sweep.add_argument("--workers", type=int, default=1,
-                       help="simulation worker processes (results identical "
-                            "to --workers 1)")
+                       help="simulation worker processes: 1 runs in-process, "
+                            "N > 1 forks N workers on the lease fabric "
+                            "(results identical to --workers 1)")
     sweep.add_argument("--cache-dir", default=None,
                        help="persist simulation results on disk for reuse "
                             "across invocations")
@@ -506,11 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--measure", type=int, default=1000)
     sweep.add_argument("--drain", type=int, default=4000)
     sweep.add_argument("--max-retries", type=int, default=0,
-                       help="re-attempts per failing point (exponential "
-                            "backoff between tries)")
+                       help="re-attempts per point: one fails once its "
+                            "errors, crashes and timeouts exceed this")
     sweep.add_argument("--point-timeout", type=float, default=None,
-                       help="seconds before a point is killed and retried "
-                            "(needs --workers > 1)")
+                       help="seconds before a running point's worker is "
+                            "killed (or fenced out) and the attempt charged "
+                            "as a timeout (needs --workers > 1 or --fabric)")
     sweep.add_argument("--resume", action="store_true",
                        help="continue an interrupted sweep from the "
                             "checkpoint in --cache-dir")
@@ -550,9 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fabric lease lifetime; a worker that stops "
                             "heartbeating for this long forfeits its point "
                             "(default 10)")
-    sweep.add_argument("--quarantine-after", type=int, default=3, metavar="N",
-                       help="quarantine a point after N distinct fabric "
-                            "workers died or errored on it (default 3)")
 
     worker = sub.add_parser(
         "worker",
@@ -638,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "$REPRO_LEDGER_DIR)")
     serve.add_argument("--fabric", default=None, metavar="QUEUE_DIR",
                        help="execute batches through the lease-based work "
-                            "fabric rooted here instead of a local pool")
+                            "fabric rooted here (one durable queue per batch)")
     serve.add_argument("--rate", type=float, default=50.0, metavar="PER_S",
                        help="per-client token-bucket refill rate, specs/s "
                             "(default 50)")

@@ -1,4 +1,4 @@
-"""Parallel sweep execution over simulation specs.
+"""Cached, failure-isolated sweep execution over simulation specs.
 
 :class:`SweepRunner` takes a list of :class:`~repro.noc.spec.SimulationSpec`
 values -- an injection-rate x pattern x sprint-level grid, a PARSEC
@@ -8,9 +8,9 @@ scheme comparison, any batch of independent runs -- and executes them:
    :class:`~repro.exec.cache.ResultCache` are returned without simulating;
 2. **dedup** -- identical specs appearing more than once in a sweep are
    simulated exactly once;
-3. **fan-out** -- remaining points run on a ``ProcessPoolExecutor`` when
-   ``workers > 1`` (with a transparent serial fallback when the pool is
-   unavailable, e.g. on restricted platforms), or serially otherwise.
+3. **fan-out** -- remaining points run in-process when ``workers == 1``,
+   otherwise on the lease fabric (:mod:`repro.exec.fabric`), the one
+   parallel executor.
 
 Because a spec carries its own traffic seed and every worker rebuilds the
 generator from the spec, parallel and serial execution produce
@@ -18,26 +18,21 @@ generator from the spec, parallel and serial execution produce
 ordering of the returned points always matches the order of the input
 specs, never completion order.
 
-The fan-out is failure-isolated: each point is submitted as its own
-future, so one point raising, hanging past ``point_timeout``, or killing
-its worker outright (``BrokenProcessPool``) costs only that point.
-Survivors are returned as usual while the casualties come back as
-:class:`FailedPoint` records (with the worker's traceback) on
-``SweepReport.failures``; ``max_retries`` re-attempts flaky points with
-exponential backoff.  Every completed point is written to the cache the
-moment it finishes, so an interrupted sweep resumes from its checkpoint:
-re-running the same spec list against the same cache re-simulates only
-the unfinished points.
+The fan-out is failure-isolated: one point raising, hanging past
+``point_timeout``, or killing its worker outright costs only that point,
+which comes back as a :class:`FailedPoint` (with the worker's traceback)
+on ``SweepReport.failures`` once it exhausts ``max_retries``.  Every
+completed point is written to the cache the moment it finishes, so an
+interrupted sweep resumes from its checkpoint: re-running the same spec
+list against the same cache re-simulates only the unfinished points.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import threading
 import time
 import traceback as _tb
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -112,14 +107,6 @@ def _simulate_guarded(spec: SimulationSpec, tel_ctx: TelemetryContext | None = N
     return ("ok", result, elapsed, payload)
 
 
-def _simulate_timed(spec: SimulationSpec) -> tuple[SimulationResult, float]:
-    """Back-compat wrapper: run one spec and report its wall-clock time."""
-    status = _simulate_guarded(spec)
-    if status[0] == "ok":
-        return status[1], status[2]
-    raise RuntimeError(status[1])
-
-
 #: Sweep-level metric names pre-registered at the start of every
 #: instrumented run, so a clean sweep still renders them (as zeros) in the
 #: Prometheus dump instead of omitting them.
@@ -140,38 +127,6 @@ _KIND_COUNTER = {
     "timeout": "sweep_timeouts_total",
     "crash": "sweep_crashes_total",
 }
-
-
-def _ignore_sigint() -> None:
-    """Pool-worker initializer: the parent owns Ctrl-C.
-
-    A terminal SIGINT goes to the whole foreground process group; if the
-    pool children raised ``KeyboardInterrupt`` mid-simulation the graceful
-    drain (finish in-flight points, checkpoint, resume hint) would race a
-    pile of broken futures.  Workers ignore the signal; the parent decides.
-    """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):
-        pass  # not the main thread of the worker (exotic start methods)
-
-
-def _kill_pool(pool) -> None:
-    """Tear a process pool down *now*, including hung workers.
-
-    ``shutdown(cancel_futures=True)`` only cancels queued work; a worker
-    stuck inside a simulation must be terminated out from under it first.
-    The shutdown then waits: with every worker dead the join is immediate,
-    and leaving the manager thread running would race the interpreter's
-    atexit hook (spurious ``Bad file descriptor`` noise at exit).
-    """
-    processes = getattr(pool, "_processes", None)
-    for proc in list(processes.values()) if processes else []:
-        try:
-            proc.terminate()
-        except (OSError, ValueError, AttributeError):
-            pass
-    pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass
@@ -195,13 +150,13 @@ class FailedPoint:
 
     index: int
     spec: SimulationSpec
-    kind: str  # "error" | "timeout" | "crash" | "quarantined"
+    kind: str  # the last charged attempt's: "error" | "timeout" | "crash"
     error: str
     traceback: str | None
     attempts: int
-    #: Per-attempt event trail (fabric sweeps): dicts with at least an
-    #: ``event`` ("claim"/"error"/"expired"/...) and a ``worker``, so a
-    #: quarantined point is diagnosable from the terminal.
+    #: Per-attempt event trail (parallel sweeps): dicts with at least an
+    #: ``event`` ("claim"/"error"/"expired"/"timeout"/...) and a
+    #: ``worker``, so a failed point is diagnosable from the terminal.
     history: tuple = ()
 
     @property
@@ -216,7 +171,7 @@ class FailedPoint:
         )
 
     def history_lines(self) -> list[str]:
-        """One line per recorded attempt event (empty for pool sweeps)."""
+        """One line per recorded attempt event (empty for serial sweeps)."""
         lines = []
         for entry in self.history:
             event = entry.get("event", "?")
@@ -227,6 +182,8 @@ class FailedPoint:
             elif event == "expired":
                 lines.append(f"lease expired on {worker} "
                              f"(worker died or stalled)")
+            elif event == "timeout":
+                lines.append(f"{worker} ran past point_timeout")
             elif event == "error":
                 lines.append(f"{worker} raised: {entry.get('error')}")
             elif event == "abandon":
@@ -317,10 +274,14 @@ class SweepReport:
 class SweepRunner:
     """Execute batches of independent simulation specs, cached and parallel.
 
-    ``workers=1`` (the default) runs serially; ``workers>1`` fans out over a
-    process pool, one future per point.  ``cache=None`` gives the runner a
-    private in-memory cache; pass a shared :class:`ResultCache` to reuse
-    results across runners, benchmarks and CLI invocations.  ``progress``
+    ``workers=1`` (the default) runs serially in-process; ``workers>1``
+    forks that many lease-fabric workers on a private queue in a temporary
+    directory.  ``fabric`` (a :class:`~repro.exec.fabric.FabricConfig`)
+    runs a named, durable queue instead, whose config sets the local
+    worker count (``workers=0``: external workers only).  ``cache=None``
+    gives the runner a private in-memory cache; pass a shared
+    :class:`ResultCache` to reuse results across runners, benchmarks and
+    CLI invocations.  ``progress``
     (if given) is called the moment each point completes -- cache hits
     first (in input order), simulated points in completion order, failed
     points as they fail -- as ``progress(done, total, point, outcome)``
@@ -334,13 +295,14 @@ class SweepRunner:
     ``sweep_*`` counters plus the ``sweep_point_sim_seconds`` histogram and
     ``result_cache_*`` gauges.  ``None`` (the default) costs nothing.
 
-    Failure policy: a point that raises is retried up to ``max_retries``
-    times with exponential backoff (``retry_backoff_s`` doubling per
-    attempt); one that runs past ``point_timeout`` seconds or kills its
-    worker is isolated, charged an attempt and retried likewise.  Points
-    that exhaust their attempts are reported on ``SweepReport.failures``
-    instead of poisoning the sweep.  Serial runs cannot preempt a hung
-    simulation, so ``point_timeout`` is only enforced when ``workers > 1``.
+    Failure policy: every failed attempt is charged to its point as
+    ``error`` (it raised), ``timeout`` (it ran past ``point_timeout``
+    seconds) or ``crash`` (its worker died); once the charges exceed
+    ``max_retries`` the point is reported on ``SweepReport.failures``
+    with the kind of its last attempt.  Serial runs cannot preempt a hung
+    simulation, so ``point_timeout`` needs the fabric.  A retried point
+    waits ``retry_backoff_s``, doubling per charged attempt, before it
+    runs again.
     """
 
     def __init__(
@@ -357,9 +319,6 @@ class SweepRunner:
         ledger_kind: str = "sweep",
         fabric=None,
     ):
-        # fabric mode (a FabricConfig): execution is delegated to the
-        # lease-based work queue, whose local worker count lives on the
-        # config -- `workers=0` is then legal (external workers only)
         if fabric is not None:
             if workers < 0:
                 raise ValueError("workers must be >= 0 in fabric mode")
@@ -500,11 +459,20 @@ class SweepRunner:
                 done += 1
                 notify(done, total, point, "cached" if extra else "simulated")
 
+        def retry(key: str, kind: str, payload=None) -> None:
+            """Count one failed attempt that earned another try."""
+            absorb(key, payload)  # keep the failed attempt's spans/metrics
+            if tel is not None:
+                tel.metrics.counter(_KIND_COUNTER[kind]).inc()
+                tel.metrics.counter("sweep_retries_total").inc()
+
         def fail(key: str, kind: str, error: str, tb, attempts: int,
                  payload=None, history=()) -> None:
+            """Give up on a point after its last charged attempt."""
             nonlocal done
             absorb(key, payload)
             if tel is not None:
+                tel.metrics.counter(_KIND_COUNTER[kind]).inc()
                 span = point_spans.pop(key, None)
                 if span is not None:
                     span.annotate(outcome="failed", kind=kind,
@@ -521,30 +489,17 @@ class SweepRunner:
                     tel.metrics.counter("sweep_failures_total").inc()
                 notify(done, total, failed, "failed")
 
-        def attempt_failed(kind: str, retrying: bool) -> None:
-            """Count one failed attempt (and the retry it earned, if any)."""
-            if tel is None:
-                return
-            tel.metrics.counter(_KIND_COUNTER[kind]).inc()
-            if retrying:
-                tel.metrics.counter("sweep_retries_total").inc()
-
+        # separate worker processes (even when only external ones join
+        # a named queue); a lone point on a private queue runs in-process
+        parallel = bool(unique) and (self.fabric is not None
+                                     or (self.workers > 1 and len(unique) > 1))
         fabric_stats = None
-        if self.fabric is not None and unique:
-            parallel = True  # separate worker processes, even when external
-            fabric_stats = self._run_fabric(unique, complete, fail, tel,
-                                            stable_key(tuple(keys)))
+        if parallel:
+            fabric_stats = self._run_fabric(
+                unique, complete, retry, fail, tel, stable_key(tuple(keys)),
+                point_span if tel is not None else None)
         else:
-            parallel = self.workers > 1 and len(unique) > 1
-            if parallel:
-                if not self._run_parallel(unique, complete, fail, worker_ctx,
-                                          absorb, attempt_failed):
-                    parallel = False  # pool unavailable: transparent fallback
-                    self._run_serial(unique, complete, fail, worker_ctx,
-                                     absorb, attempt_failed)
-            else:
-                self._run_serial(unique, complete, fail, worker_ctx,
-                                 absorb, attempt_failed)
+            self._run_serial(unique, complete, retry, fail, worker_ctx)
 
         interrupted = self._stop.is_set() and done < total
         if interrupted:
@@ -618,24 +573,39 @@ class SweepRunner:
         )
 
     # ------------------------------------------------------------------
-    def _backoff(self, attempts: int) -> float:
-        return self.retry_backoff_s * (2 ** max(0, attempts - 1))
-
-    def _run_fabric(self, unique, complete, fail, tel, fingerprint):
-        """Delegate execution to the lease-based work-queue fabric.
+    def _run_fabric(self, unique, complete, retry, fail, tel, fingerprint,
+                    point_span=None):
+        """Run the pending points on ``self.fabric``'s queue, or on a
+        private one in a temporary directory (removed afterwards).
 
         The fingerprint covers the *full* spec list (it matches the
         checkpoint manifest), so a resume whose pending set has shrunk
-        still adopts the same queue directory.
+        still adopts the same queue directory.  Returns the churn
+        statistics of a named queue, ``None`` for a private one.
         """
-        from repro.exec.fabric import FabricCoordinator
+        import shutil
+        import tempfile
 
-        coordinator = FabricCoordinator(self.fabric, telemetry=tel)
-        return coordinator.execute(unique, self.cache, complete, fail,
-                                   self._stop, fingerprint=fingerprint)
+        from repro.exec.fabric import FabricConfig, FabricCoordinator
 
-    def _run_serial(self, unique, complete, fail, worker_ctx,
-                    absorb, attempt_failed) -> None:
+        config = self.fabric or FabricConfig(
+            queue_dir=tempfile.mkdtemp(prefix="repro-sweep-"),
+            workers=min(self.workers, len(unique)))
+        coordinator = FabricCoordinator(config, telemetry=tel,
+                                        max_retries=self.max_retries,
+                                        point_timeout=self.point_timeout,
+                                        retry_backoff_s=self.retry_backoff_s)
+        try:
+            stats = coordinator.execute(unique, self.cache, complete, retry,
+                                        fail, self._stop,
+                                        fingerprint=fingerprint,
+                                        started=point_span)
+        finally:
+            if self.fabric is None:
+                shutil.rmtree(config.queue_dir, ignore_errors=True)
+        return stats if self.fabric is not None else None
+
+    def _run_serial(self, unique, complete, retry, fail, worker_ctx) -> None:
         # in-process execution cannot preempt a hung simulation, so
         # point_timeout is not enforced here; exceptions are still
         # isolated and retried per point
@@ -650,202 +620,11 @@ class SweepRunner:
                     complete(key, status[1], status[2], status[3])
                     break
                 if attempts > self.max_retries:
-                    attempt_failed("error", retrying=False)
                     fail(key, "error", status[1], status[2], attempts,
                          status[4])
                     break
-                attempt_failed("error", retrying=True)
-                absorb(key, status[4])
-                time.sleep(self._backoff(attempts))
-
-    def _run_parallel(self, unique, complete, fail, worker_ctx,
-                      absorb, attempt_failed) -> bool:
-        """Per-future fan-out; returns False when no pool exists at all."""
-        try:
-            import concurrent.futures as cf
-            from concurrent.futures.process import BrokenProcessPool
-        except ImportError:
-            return False
-        try:
-            pool = cf.ProcessPoolExecutor(max_workers=self.workers,
-                                          initializer=_ignore_sigint)
-        except (ImportError, OSError, ValueError, RuntimeError):
-            return False  # e.g. no os.fork / sem_open on this platform
-
-        tasks = {key: {"spec": spec, "attempts": 0} for key, spec in unique}
-        ready = deque(key for key, _ in unique)
-        delayed: list[tuple[float, str]] = []  # (resume-at, key) backoffs
-        running: dict = {}  # future -> (key, deadline | None)
-
-        def rebuild_pool():
-            nonlocal pool
-            _kill_pool(pool)
-            pool = cf.ProcessPoolExecutor(max_workers=self.workers,
-                                          initializer=_ignore_sigint)
-
-        def retry_or_fail(key: str, kind: str, error: str, tb,
-                          payload=None) -> None:
-            task = tasks[key]
-            absorb(key, payload)  # keep the failed attempt's spans/metrics
-            if task["attempts"] > self.max_retries:
-                attempt_failed(kind, retrying=False)
-                fail(key, kind, error, tb, task["attempts"])
-            else:
-                attempt_failed(kind, retrying=True)
-                delayed.append(
-                    (time.monotonic() + self._backoff(task["attempts"]), key)
-                )
-
-        def probe(key: str) -> None:
-            """Re-run a pool-break suspect alone, for exact attribution.
-
-            When the shared pool breaks, every in-flight future fails with
-            ``BrokenProcessPool`` -- the crasher and its innocent
-            bystanders are indistinguishable.  A fresh single-worker pool
-            answers the question per point: if it breaks again the point
-            really kills its worker; if it completes, the point was
-            collateral damage (and its result is used, uncharged).
-            """
-            task = tasks[key]
-            iso = cf.ProcessPoolExecutor(max_workers=1,
-                                         initializer=_ignore_sigint)
-            try:
-                future = iso.submit(
-                    _simulate_guarded, task["spec"],
-                    worker_ctx(key, task["attempts"]),
-                )
-                try:
-                    status = future.result(timeout=self.point_timeout)
-                except BrokenProcessPool:
-                    retry_or_fail(
-                        key, "crash",
-                        "worker process died (BrokenProcessPool)", None,
-                    )
-                    return
-                except cf.TimeoutError:
-                    retry_or_fail(
-                        key, "timeout",
-                        f"no result within point_timeout={self.point_timeout}s",
-                        None,
-                    )
-                    return
-                if status[0] == "ok":
-                    complete(key, status[1], status[2], status[3])
-                else:
-                    retry_or_fail(key, "error", status[1], status[2],
-                                  status[4])
-            finally:
-                _kill_pool(iso)
-
-        def handle_break(first_suspects: list) -> None:
-            suspects = first_suspects + [key for key, _ in running.values()]
-            running.clear()
-            rebuild_pool()
-            for key in suspects:
-                probe(key)
-
-        try:
-            while ready or delayed or running:
-                if self._stop.is_set():
-                    # graceful drain: dispatch nothing more, but let every
-                    # in-flight point finish and checkpoint normally
-                    ready.clear()
-                    delayed = []
-                    if not running:
-                        break
-                now = time.monotonic()
-                if delayed:  # promote backoffs whose delay has elapsed
-                    still = [(t, k) for t, k in delayed if t > now]
-                    for t, k in delayed:
-                        if t <= now:
-                            ready.append(k)
-                    delayed = still
-                while ready and len(running) < self.workers:
-                    key = ready.popleft()
-                    task = tasks[key]
-                    task["attempts"] += 1
-                    try:
-                        future = pool.submit(
-                            _simulate_guarded, task["spec"],
-                            worker_ctx(key, task["attempts"]),
-                        )
-                    except BrokenProcessPool:
-                        task["attempts"] -= 1  # never actually ran
-                        ready.appendleft(key)
-                        handle_break([])
-                        continue
-                    deadline = (
-                        now + self.point_timeout if self.point_timeout else None
-                    )
-                    running[future] = (key, deadline)
-                if not running:
-                    if delayed:  # everything is backing off
-                        time.sleep(max(0.0, min(t for t, _ in delayed) - now))
-                    continue
-
-                wake_ups = [d for _, d in running.values() if d is not None]
-                wake_ups.extend(t for t, _ in delayed)
-                wait_timeout = (
-                    max(0.0, min(wake_ups) - now) + 1e-3 if wake_ups else None
-                )
-                finished, _ = cf.wait(
-                    set(running), timeout=wait_timeout,
-                    return_when=cf.FIRST_COMPLETED,
-                )
-
-                broken_suspects = []
-                for future in finished:
-                    key, _ = running.pop(future)
-                    try:
-                        status = future.result()
-                    except BrokenProcessPool:
-                        broken_suspects.append(key)
-                        continue
-                    except Exception as exc:  # e.g. result unpickling
-                        retry_or_fail(
-                            key, "error", f"{type(exc).__name__}: {exc}", None
-                        )
-                        continue
-                    if status[0] == "ok":
-                        complete(key, status[1], status[2], status[3])
-                    else:
-                        retry_or_fail(key, "error", status[1], status[2],
-                                      status[4])
-                if broken_suspects:
-                    handle_break(broken_suspects)
-                    continue
-
-                now = time.monotonic()
-                overdue = [
-                    (future, key)
-                    for future, (key, deadline) in running.items()
-                    if deadline is not None and deadline <= now
-                    and not future.done()
-                ]
-                if overdue:
-                    # a hung worker cannot be cancelled: tear the pool down,
-                    # charge the overdue points, resubmit the innocent
-                    # in-flight points uncharged
-                    victims = {future for future, _ in overdue}
-                    innocents = [
-                        key
-                        for future, (key, _) in running.items()
-                        if future not in victims
-                    ]
-                    running.clear()
-                    rebuild_pool()
-                    for _, key in overdue:
-                        retry_or_fail(
-                            key, "timeout",
-                            f"exceeded point_timeout={self.point_timeout}s",
-                            None,
-                        )
-                    for key in innocents:
-                        tasks[key]["attempts"] -= 1
-                        ready.append(key)
-        finally:
-            _kill_pool(pool)
-        return True
+                retry(key, "error", status[4])
+                time.sleep(self.retry_backoff_s * 2 ** (attempts - 1))
 
 
 __all__ = ["FailedPoint", "SweepPoint", "SweepReport", "SweepRunner", "CHAOS_ENV"]

@@ -11,7 +11,7 @@
   (cross-process) plus an in-process event table (cross-thread), so N
   concurrent identical submissions cost exactly one simulation;
 - the existing execution engine: claimed specs are batched through a
-  :class:`~repro.exec.runner.SweepRunner` (process pool or sweep
+  :class:`~repro.exec.runner.SweepRunner` (serial or the sweep
   fabric), which also writes the run ledger -- service runs file under
   ``kind="service"`` with the client identity as the label;
 - per-client admission (:class:`~repro.service.budget.ClientAccounts`)
@@ -125,6 +125,11 @@ class ExperimentService:
             max_workers=executor_threads, thread_name_prefix="repro-service"
         )
         self._closed = False
+        if workers > 1 or (fabric is not None and fabric.workers > 0):
+            # threaded coordinators take their workers from the fork server
+            from repro.exec.fabric import fork_server
+
+            fork_server()
 
     # ------------------------------------------------------------------
     # metrics plumbing

@@ -5,8 +5,8 @@ is raw; this module is the piece in between -- a streaming aggregator
 that folds the fabric's torn-tail-tolerant event stream (via
 :meth:`repro.exec.fabric.LeaseTable.read_events` offsets, so a watcher
 never skips or double-counts an event across partial lines) and the
-local-pool :class:`~repro.exec.runner.SweepRunner` progress callbacks
-into one :class:`SweepView` snapshot:
+:class:`~repro.exec.runner.SweepRunner` progress callbacks into one
+:class:`SweepView` snapshot:
 
 - per-worker and per-shard throughput (rolling-window points/s),
 - lease health (live / expiring / reclaimed / quarantined),
@@ -26,9 +26,9 @@ The view is surfaced three ways, all stdlib-only:
   :class:`~repro.telemetry.metrics.MetricsRegistry` text render.
 
 Everything here is read-only with respect to the queue directory: a
-watcher can attach to any sweep -- local pool, fabric, fabric under
-chaos -- without perturbing it (the <2 % attach overhead is gated by
-``benchmarks/bench_extension_fabric.py``).
+watcher can attach to any sweep -- in-process progress, a fabric
+queue, a fabric queue under chaos -- without perturbing it (the <2 %
+attach overhead is gated by ``benchmarks/bench_extension_fabric.py``).
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class LeaseHealth:
     live: int = 0
     expiring: int = 0       # within a third of the ttl of their deadline
     reclaimed: int = 0      # cumulative expired events
-    quarantined: int = 0    # points written off by the circuit breaker
+    quarantined: int = 0    # points failed after exhausting their retries
 
 
 @dataclass(frozen=True)
@@ -423,6 +423,9 @@ class LiveAggregator:
             self.draining = True
         elif kind == "shutdown":
             self.complete = True
+        elif kind == "adopt":  # a new coordinator resumes the queue
+            self._quarantined.clear()
+            self.draining = self.complete = False
 
     def fold_many(self, events) -> None:
         for event in events:
@@ -622,7 +625,7 @@ def render_terminal(view: SweepView, *, color: bool = True) -> str:
              else "DRAINING" if view.draining else "RUNNING")
     state = paint(state, "32" if view.complete and not view.failed
                   else "31" if view.failed else "33")
-    where = view.queue_dir or "local pool"
+    where = view.queue_dir or "local sweep"
     lines = [
         f"sweep @ {where} -- {state}   "
         f"(updated {time.strftime('%H:%M:%S', time.localtime(view.updated_ts))})",
@@ -736,7 +739,7 @@ def render_html(view: SweepView, refresh_s: float = 2.0) -> str:
     ]
     return _HTML_TEMPLATE.format(
         refresh=int(max(1, refresh_s)),
-        where=_html.escape(view.queue_dir or "local pool"),
+        where=_html.escape(view.queue_dir or "local sweep"),
         state=_html.escape(state),
         state_color=state_color,
         ok_pct=100.0 * view.done / total,

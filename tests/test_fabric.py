@@ -66,9 +66,23 @@ def seeded_table(tmp_path, specs=None, ttl=5.0) -> LeaseTable:
         fingerprint="fp-test",
         results_dir=str(tmp_path / "results"),
         settings={"lease_ttl_s": ttl, "heartbeat_s": None,
-                  "quarantine_after": 3},
+                  "max_retries": 0},
     )
     return table
+
+
+def fast_lease_clock(monkeypatch, speed=5.0):
+    """Run the fabric clock ``speed`` times faster than real time.
+
+    Lease deadlines, expiry, heartbeats and stalls all read
+    ``fabric._now``, and forked workers inherit the patch, so a 1 s lease
+    expires after 0.2 s of real time.
+    """
+    from repro.exec import fabric
+
+    origin = time.time()
+    monkeypatch.setattr(fabric, "_now",
+                        lambda: origin + speed * (time.time() - origin))
 
 
 def run_env():
@@ -107,41 +121,63 @@ class TestLeaseTable:
     def test_claim_is_exclusive_until_released(self, tmp_path):
         table = seeded_table(tmp_path)
         key = table.meta["keys"][0]
-        lease = table.claim(key, "alpha", 1)
-        assert lease is not None and lease["worker"] == "alpha"
-        assert table.claim(key, "beta", 1) is None
-        table.release(key, "alpha", lease["nonce"])
-        assert table.claim(key, "beta", 1) is not None
+        nonce, leased = table.lease_batch([key], "alpha", 1)
+        assert leased == [key] and table.read_lease(key)["worker"] == "alpha"
+        assert table.lease_batch([key], "beta", 1)[1] == []
+        table.release(key, "alpha", nonce)
+        assert table.lease_batch([key], "beta", 1)[1] == [key]
 
     def test_heartbeat_extends_and_fences(self, tmp_path):
         table = seeded_table(tmp_path, ttl=2.0)
         key = table.meta["keys"][0]
-        lease = table.claim(key, "alpha", 1)
+        nonce, _ = table.lease_batch([key], "alpha", 1)
         before = table.read_lease(key)["deadline"]
         time.sleep(0.05)
-        assert table.heartbeat(key, "alpha", lease["nonce"])
+        assert table.heartbeat(key, "alpha", nonce)
         assert table.read_lease(key)["deadline"] > before
-        # another worker's claim (after a reclaim) fences the old holder
+        # another worker's lease (after a reclaim) fences the old holder
         os.unlink(table.lease_path(key))
-        other = table.claim(key, "beta", 2)
-        assert not table.heartbeat(key, "alpha", lease["nonce"])
-        assert table.read_lease(key)["nonce"] == other["nonce"]
+        other, _ = table.lease_batch([key], "beta", 1)
+        assert not table.heartbeat(key, "alpha", nonce)
+        assert table.read_lease(key)["nonce"] == other
         # a fenced release must not drop the new holder's lease
-        table.release(key, "alpha", lease["nonce"])
-        assert table.lease_exists(key)
+        table.release(key, "alpha", nonce)
+        assert table.read_lease(key)["worker"] == "beta"
+
+    def test_heartbeat_never_resurrects_a_reclaimed_lease(self, tmp_path,
+                                                          monkeypatch):
+        # the coordinator reclaims the lease between the heartbeat's
+        # ownership check and its rewrite: the renewal must not bring
+        # the lease back (the holder is hung; nothing else would end it)
+        table = seeded_table(tmp_path)
+        key = table.meta["keys"][0]
+        nonce, _ = table.lease_batch([key], "alpha", 1)
+        load, fired = json.load, []
+
+        def load_then_reclaim(handle):
+            lease = load(handle)
+            if not fired:
+                fired.append(True)
+                table.reclaim_worker("alpha")
+            return lease
+
+        monkeypatch.setattr(json, "load", load_then_reclaim)
+        table.heartbeat(key, "alpha", nonce)
+        monkeypatch.undo()
+        assert fired and table.read_lease(key) is None
 
     def test_reclaim_expired_and_by_worker(self, tmp_path):
         table = seeded_table(tmp_path, ttl=0.2)
         keys = table.meta["keys"]
-        table.claim(keys[0], "alpha", 1)
-        table.claim(keys[1], "beta", 1)
+        table.lease_batch([keys[0]], "alpha", 1)
+        table.lease_batch([keys[1]], "beta", 1)
         assert table.reclaim_expired() == []  # nothing expired yet
         time.sleep(0.3)
         reclaimed = table.reclaim_expired()
         assert {lease["worker"] for lease in reclaimed} == {"alpha", "beta"}
         assert table.active_leases() == 0
         # fast reclaim by worker id, without waiting for the deadline
-        table.claim(keys[0], "gamma", 2)
+        table.lease_batch([keys[0]], "gamma", 1)
         assert [lease["key"] for lease in table.reclaim_worker("gamma")] == [keys[0]]
         events, _ = table.read_events()
         assert sum(1 for e in events if e["ev"] == "expired") == 3
@@ -184,7 +220,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FabricConfig(queue_dir=str(tmp_path), lease_ttl_s=0)
         with pytest.raises(ValueError):
-            FabricConfig(queue_dir=str(tmp_path), quarantine_after=0)
+            SweepRunner(max_retries=-1,
+                        fabric=FabricConfig(queue_dir=str(tmp_path)))
 
     def test_runner_workers_zero_needs_fabric(self, tmp_path):
         with pytest.raises(ValueError):
@@ -214,18 +251,18 @@ class TestFabricSweep:
     def test_quarantines_poisoned_point_with_history(self, tmp_path,
                                                      monkeypatch):
         # every attempt errors (chaos 'raise' fires inside the simulation
-        # guard in each worker), so distinct workers keep dying on the
-        # same points until the circuit breaker trips
+        # guard in each worker), so the point fails once its charged
+        # attempts exceed max_retries
         monkeypatch.setenv("REPRO_SWEEP_CHAOS", "raise")
         specs = grid(levels=(2,), rates=(0.1,))
         config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2,
-                              lease_ttl_s=10.0, quarantine_after=2)
-        report = SweepRunner(workers=2, fabric=config).run(specs)
+                              lease_ttl_s=10.0)
+        report = SweepRunner(workers=2, fabric=config, max_retries=1).run(specs)
         assert not report.ok
         assert report.total_points == len(specs)
         failure = report.failures[0]
-        assert failure.kind == "quarantined"
-        assert "2 distinct worker(s)" in failure.error
+        assert failure.kind == "error"
+        assert failure.attempts == 2
         events = [entry["event"] for entry in failure.history]
         assert "claim" in events and "error" in events
         lines = failure.history_lines()
@@ -235,21 +272,27 @@ class TestFabricSweep:
         assert audit.ok and audit.quarantined == len(specs)
 
     def test_survives_kill9_worker_churn(self, tmp_path, monkeypatch):
-        # workers SIGKILL themselves 0.2-0.5s after starting; the reference
-        # backend keeps points slow enough that deaths land mid-lease, and
-        # the sweep must still complete every point exactly once
+        # workers SIGKILL themselves 0.2-0.5s after starting; each
+        # reference-backend point takes well under 0.2 s, and the grid
+        # holds about 2 s of work, so the sweep outlasts the first
+        # generation: deaths land mid-lease and the sweep must still
+        # complete every point exactly once
         monkeypatch.setenv("REPRO_SWEEP_CHAOS", "kill9:0.2:0.3")
-        specs = grid(levels=(2, 4, 8), rates=(0.1, 0.3),
-                     backend="reference", warmup_cycles=200,
-                     measure_cycles=800, drain_cycles=1500)
+        specs = [small_spec(level=level, rate=rate, seed=seed,
+                            backend="reference", warmup_cycles=200,
+                            measure_cycles=800, drain_cycles=1500)
+                 for seed in range(8) for level in (2, 4, 8)
+                 for rate in (0.1, 0.3)]
         config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=3,
-                              lease_ttl_s=3.0, quarantine_after=100)
+                              lease_ttl_s=3.0)
         cache = ResultCache(directory=str(tmp_path / "c"))
-        report = SweepRunner(workers=3, fabric=config, cache=cache).run(specs)
+        report = SweepRunner(workers=3, fabric=config, cache=cache,
+                             max_retries=100).run(specs)
         assert report.ok, report.summary()
         assert report.total_points == len(specs)
         assert len(report.points) + len(report.failures) == len(specs)
         assert report.fabric.workers_spawned >= 3
+        assert report.fabric.worker_deaths >= 1
         audit = audit_queue(tmp_path / "q")
         assert audit.ok, audit.summary()
         assert audit.done == len(specs)
@@ -292,6 +335,159 @@ class TestFabricSweep:
         assert "no sweep queue" in capsys.readouterr().out
 
 
+class TestFailurePolicy:
+    """``max_retries`` and ``point_timeout`` hold on a named queue too."""
+
+    def harness_specs(self):
+        return [small_spec(level=4, rate=r, warmup_cycles=100,
+                           measure_cycles=300, drain_cycles=600)
+                for r in (0.05, 0.1, 0.15, 0.2)]
+
+    @staticmethod
+    def rate_failing(specs, count):
+        """A ``REPRO_SWEEP_CHAOS`` rate at which exactly ``count`` of the
+        specs fire (the simulation guard's coin is the content hash)."""
+        coins = sorted(int(s.cache_key()[:8], 16) / float(0xFFFFFFFF)
+                       for s in specs)
+        return (coins[count - 1] + coins[count]) / 2.0
+
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_always_raising_points_fail_after_max_retries(
+            self, tmp_path, monkeypatch, max_retries):
+        # fewer workers than any distinct-worker threshold: every point
+        # must still fail after exactly max_retries + 1 attempts instead
+        # of being re-leased forever
+        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "raise")
+        specs = grid()
+        runner = SweepRunner(
+            fabric=FabricConfig(queue_dir=str(tmp_path / "q"), workers=2),
+            max_retries=max_retries)
+        watchdog = threading.Timer(60.0, runner.request_stop)
+        watchdog.start()
+        try:
+            report = runner.run(specs)
+        finally:
+            watchdog.cancel()
+        assert not report.interrupted
+        assert len(report.failures) == len(specs)
+        for failure in report.failures:
+            assert failure.kind == "error"
+            assert failure.attempts == max_retries + 1
+            assert "chaos" in failure.error
+            assert "RuntimeError" in failure.traceback
+        audit = audit_queue(tmp_path / "q")
+        assert audit.ok and audit.quarantined == len(specs)
+
+    def test_retries_wait_the_doubling_backoff(self, tmp_path, monkeypatch):
+        # the coordinator holds a failed point's lease through the retry
+        # backoff, so no worker re-runs it early
+        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "raise")
+        runner = SweepRunner(
+            fabric=FabricConfig(queue_dir=str(tmp_path / "q"), workers=2),
+            max_retries=2, retry_backoff_s=0.3)
+        report = runner.run(grid(levels=(2,), rates=(0.1,)))
+        [failure] = report.failures
+        assert failure.kind == "error" and failure.attempts == 3
+        events = [entry for entry in failure.history
+                  if entry["event"] in ("claim", "error")]
+        assert [e["event"] for e in events] == ["claim", "error"] * 3
+        # error -> next claim: 0.3 s, then 0.6 s (event stamps are rounded
+        # to 0.1 ms)
+        gaps = [events[i + 1]["ts"] - events[i]["ts"] for i in (1, 3)]
+        assert gaps[0] >= 0.3 - 1e-3 and gaps[1] >= 0.6 - 1e-3, gaps
+        assert audit_queue(tmp_path / "q").ok
+
+    def test_hung_point_times_out_and_innocents_survive(self, tmp_path,
+                                                       monkeypatch):
+        specs = self.harness_specs()
+        rate = self.rate_failing(specs, 1)
+        monkeypatch.setenv("REPRO_SWEEP_CHAOS", f"hang:{rate}:60")
+        config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2)
+        report = SweepRunner(fabric=config, point_timeout=1.5).run(specs)
+        assert [f.kind for f in report.failures] == ["timeout"]
+        assert len(report.points) == 3
+        assert any("point_timeout" in line
+                   for line in report.failures[0].history_lines())
+        assert audit_queue(tmp_path / "q").ok
+
+    def test_timed_out_external_holder_releases_its_batch(self, tmp_path):
+        # an external worker hangs in its first leased point while its
+        # heartbeat thread keeps renewing the whole batch: the timeout
+        # must fence it out of the hung point *and* requeue its unstarted
+        # batch-mates, so another worker finishes them
+        from repro.exec.fabric import _Heartbeat
+
+        specs = self.harness_specs()
+        queue = tmp_path / "q"
+        runner = SweepRunner(
+            fabric=FabricConfig(queue_dir=str(queue), workers=0),
+            point_timeout=1.0)
+        box = {}
+        thread = threading.Thread(
+            target=lambda: box.setdefault("report", runner.run(specs)))
+        thread.start()
+        heartbeat = proc = None
+        try:
+            table = LeaseTable(queue)
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    keys = table.load()["keys"]
+                    break
+                except QueueError:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            nonce, batch = table.lease_batch(keys, "hung", 3)
+            leases = [{"key": key, "worker": "hung", "nonce": nonce,
+                       "attempt": 1} for key in batch]
+            heartbeat = _Heartbeat(table, 0.05)
+            heartbeat.hold(leases)
+            table.announce(leases[0])  # the point it hangs in
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "worker", "--queue",
+                 str(queue), "--id", "joiner", "--wait", "30"],
+                env=run_env(), stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT, text=True)
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "batch-mates were never requeued"
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            runner.request_stop()
+            thread.join(timeout=60)
+            if heartbeat is not None:
+                heartbeat.stop()
+            if proc is not None and proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        report = box["report"]
+        assert [f.key for f in report.failures] == [batch[0]]
+        assert report.failures[0].kind == "timeout"
+        assert len(report.points) == len(specs) - 1
+        assert report.fabric.per_worker == {"joiner": len(specs) - 1}
+        assert heartbeat.held == {}  # fenced out of every lease it held
+        assert audit_queue(queue).ok
+
+    def test_crash_fails_without_retry_and_recovers_with_one(self, tmp_path,
+                                                             monkeypatch):
+        specs = self.harness_specs()
+        rate = self.rate_failing(specs, 2)
+        for max_retries in (0, 1):
+            markers = tmp_path / f"markers{max_retries}"
+            markers.mkdir()
+            monkeypatch.setenv("REPRO_SWEEP_CHAOS",
+                               f"exit-once:{rate}:{markers}")
+            config = FabricConfig(queue_dir=str(tmp_path / f"q{max_retries}"),
+                                  workers=2)
+            report = SweepRunner(fabric=config,
+                                 max_retries=max_retries).run(specs)
+            if max_retries == 0:
+                assert [f.kind for f in report.failures] == ["crash", "crash"]
+                assert all(f.attempts == 1 for f in report.failures)
+                assert len(report.points) == 2
+            else:
+                assert report.ok and len(report.points) == 4
+
+
 class TestChaosModes:
     def test_torn_write_is_survived(self, tmp_path, monkeypatch):
         # a worker emulates a pre-atomic writer: truncated pickle straight
@@ -303,8 +499,8 @@ class TestChaosModes:
                 if chaos_coin(s.cache_key(), 1) < 0.5]
         assert torn, "grid must contain at least one torn-write victim"
         config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2,
-                              lease_ttl_s=2.0, quarantine_after=100)
-        report = SweepRunner(workers=2, fabric=config,
+                              lease_ttl_s=2.0)
+        report = SweepRunner(workers=2, fabric=config, max_retries=100,
                              cache=ResultCache(directory=str(tmp_path / "c"))
                              ).run(specs)
         assert report.ok, report.summary()
@@ -317,13 +513,15 @@ class TestChaosModes:
         # point must be re-leased elsewhere, and the staller must fence
         # itself out instead of double-reporting
         monkeypatch.setenv("REPRO_SWEEP_CHAOS", "stall-heartbeat:0.6:3.0")
+        fast_lease_clock(monkeypatch)
         specs = grid()
         stalled = [s.cache_key() for s in specs
                    if chaos_coin(s.cache_key(), 1) < 0.6]
         assert stalled, "grid must contain at least one stalled victim"
         config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2,
-                              lease_ttl_s=1.0, quarantine_after=100)
-        report = SweepRunner(workers=2, fabric=config).run(specs)
+                              lease_ttl_s=1.0)
+        report = SweepRunner(workers=2, fabric=config,
+                             max_retries=100).run(specs)
         assert report.ok, report.summary()
         assert report.fabric.expired >= 1
         audit = audit_queue(tmp_path / "q")
@@ -336,7 +534,7 @@ class TestChaosModes:
         monkeypatch.setenv("REPRO_SWEEP_CHAOS", "slow:1.0:2.5")
         specs = grid(levels=(2,), rates=(0.1, 0.2))
         config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2,
-                              lease_ttl_s=1.0, quarantine_after=3)
+                              lease_ttl_s=1.0)
         report = SweepRunner(workers=2, fabric=config).run(specs)
         assert report.ok, report.summary()
         assert report.fabric.expired == 0
@@ -422,6 +620,70 @@ class TestResumeAndDrain:
             env=run_env(), capture_output=True, text=True, timeout=240)
         assert second.returncode == 0, second.stdout + second.stderr
         assert "resumed:" in second.stdout
+
+    def test_forked_workers_exit_when_the_coordinator_dies(self, tmp_path):
+        # SIGKILL only the coordinator of a `--workers 2` sweep: its forked
+        # workers (on a private queue under TMPDIR) must notice and exit
+        # instead of simulating on for nobody
+        env = run_env()
+        env["TMPDIR"] = str(tmp_path)
+        proc = subprocess.Popen(
+            self.sweep_cmd(tmp_path, ["--workers", "2"]), env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        pids: set[int] = set()
+        deadline = time.monotonic() + 60
+        while len(pids) < 2 and time.monotonic() < deadline:
+            for events in tmp_path.glob("repro-sweep-*/events.jsonl"):
+                for line in events.read_text().splitlines():
+                    if '"worker-start"' in line:
+                        pids.add(json.loads(line)["pid"])
+            time.sleep(0.05)
+        proc.kill()
+        proc.wait(timeout=30)
+        assert len(pids) >= 2, "the sweep never started its workers"
+
+        def alive(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as handle:
+                    state = handle.read().rsplit(")", 1)[1].split()[0]
+                return state not in ("Z", "X")  # a zombie has exited
+            except FileNotFoundError:
+                return False
+            except OSError:
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    return False
+                return True
+
+        deadline = time.monotonic() + 2 * FabricConfig(queue_dir="q").lease_ttl_s
+        while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if alive(pid)]
+
+    def test_drained_fabric_queue_resumes(self, tmp_path):
+        # a drain leaves `drain` and `shutdown` events in the queue's log;
+        # the coordinator that resumes the queue must finish it, not have
+        # its fresh workers read the old `drain` and halt
+        specs = grid(levels=(2, 4), rates=(0.1, 0.2, 0.3),
+                     backend="reference", warmup_cycles=200,
+                     measure_cycles=800, drain_cycles=1500)
+        config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2)
+        cache = ResultCache(directory=str(tmp_path / "c"))
+        runner = SweepRunner(fabric=config, cache=cache)
+        runner.progress = lambda *args: runner.request_stop()
+        assert runner.run(specs).interrupted
+        runner = SweepRunner(fabric=config, cache=cache)
+        watchdog = threading.Timer(60.0, runner.request_stop)
+        watchdog.start()
+        try:
+            report = runner.run(specs)
+        finally:
+            watchdog.cancel()
+        assert not report.interrupted
+        assert report.ok and report.total_points == len(specs)
+        assert report.resumed >= 1
+        assert audit_queue(tmp_path / "q").ok
 
     def test_request_stop_interrupts_serial_run(self, tmp_path):
         specs = grid(levels=(2, 4), rates=(0.1, 0.2, 0.3))
@@ -537,11 +799,12 @@ class TestFabricMetrics:
         from repro.telemetry import Telemetry
 
         monkeypatch.setenv("REPRO_SWEEP_CHAOS", "stall-heartbeat:0.6:3.0")
+        fast_lease_clock(monkeypatch)
         telemetry = Telemetry(sample_interval=0)
         specs = grid()
         config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2,
-                              lease_ttl_s=1.0, quarantine_after=100)
-        report = SweepRunner(workers=2, fabric=config,
+                              lease_ttl_s=1.0)
+        report = SweepRunner(workers=2, fabric=config, max_retries=100,
                              telemetry=telemetry).run(specs)
         assert report.ok
         metrics = telemetry.metrics
